@@ -5,7 +5,11 @@ Implements the training (Eqs. 5–6) and query (Eqs. 7–8) halves of PQ:
 * :class:`ProductQuantizer` — learns ``K`` prototypes in each of ``C``
   subspaces of the input dimension, and encodes vectors to ``(n, C)`` index
   arrays with either exact nearest-prototype search (``encoder="exact"``) or
-  the log2(K) hash tree (``encoder="hash"``).
+  the log2(K) hash tree (``encoder="hash"``). The exact encoder runs the
+  tiled kernel :func:`~repro.quantization.kmeans.nearest_into` on operands
+  the quantizer caches (:meth:`ProductQuantizer.exact_operands`); the
+  single-query fast path's ``EncodePlan`` takes the same operands, so a row
+  gets the same codes whether it is served alone or in a batch.
 * :func:`build_weight_table` — precomputes prototype-times-weight dot products
   into a ``(C, K, D_out)`` table, optionally folding the bias into subspace 0
   (the paper's ``b_r`` trick, Eq. 10).
@@ -19,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.quantization.encoders import HashTreeEncoder
-from repro.quantization.kmeans import assign_nearest, kmeans_fit
+from repro.quantization.kmeans import kmeans_fit, nearest_into, nearest_operands
 from repro.utils.rng import new_rng, spawn_rngs
 
 
@@ -71,6 +75,9 @@ class ProductQuantizer:
         #: learned prototypes, shape (C, K, subdim)
         self.prototypes: np.ndarray | None = None
         self._hash_trees: list[HashTreeEncoder] | None = None
+        # exact_operands() cache and the prototypes array it was built from
+        self._operands: list[tuple[np.ndarray, np.ndarray]] | None = None
+        self._operands_src: np.ndarray | None = None
 
     # ------------------------------------------------------------------ util
     def _pad(self, x: np.ndarray) -> np.ndarray:
@@ -119,8 +126,26 @@ class ProductQuantizer:
         return self
 
     # ---------------------------------------------------------------- encode
+    def exact_operands(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-subspace ``(-2·Pᵀ, ‖P‖²)`` operands of the exact encoder.
+
+        Built on first use and cached until ``prototypes`` is rebound, as
+        ``fit`` and ``load_tabular_model`` do. They are derived data and are
+        never serialized.
+        """
+        if self.prototypes is None:
+            raise RuntimeError("ProductQuantizer not fitted")
+        if self._operands_src is not self.prototypes:
+            self._operands = [nearest_operands(p) for p in self.prototypes]
+            self._operands_src = self.prototypes
+        return self._operands
+
     def encode(self, x2d: np.ndarray) -> np.ndarray:
-        """Encode rows to prototype indices; returns ``(n, C)`` int64."""
+        """Encode rows to prototype indices; returns ``(n, C)`` intp.
+
+        The result is the transpose of a ``(C, n)`` array, one row per
+        subspace, which is the layout the table gathers index with.
+        """
         if self.prototypes is None:
             raise RuntimeError("ProductQuantizer not fitted")
         x2d = np.asarray(x2d, dtype=np.float64)
@@ -128,15 +153,14 @@ class ProductQuantizer:
         if squeeze:
             x2d = x2d[None, :]
         subs = self._split(x2d)  # (C, n, V)
-        n = subs.shape[1]
-        codes = np.empty((n, self.n_subspaces), dtype=np.int64)
+        codes = np.empty(subs.shape[:2], dtype=np.intp)
         if self.encoder_kind == "hash":
             for c, tree in enumerate(self._hash_trees):
-                codes[:, c] = tree.encode(subs[c])
+                codes[c] = tree.encode(subs[c])
         else:
-            for c in range(self.n_subspaces):
-                codes[:, c] = assign_nearest(subs[c], self.prototypes[c])
-        return codes[0] if squeeze else codes
+            for c, (neg2_t, c_sq) in enumerate(self.exact_operands()):
+                nearest_into(subs[c], neg2_t, c_sq, codes[c])
+        return codes[:, 0] if squeeze else codes.T
 
     def reconstruct(self, codes: np.ndarray) -> np.ndarray:
         """Rebuild (quantized) vectors from codes — used in tests/analysis."""
@@ -192,13 +216,16 @@ def lookup_aggregate(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Query-side gather and subspace sum (Eq. 8 / Eq. 11).
 
     ``table`` is ``(C, K, D_out)``, ``codes`` is ``(n, C)``; the result is
-    ``(n, D_out)``. The gather and the reduction are each a single vectorized
-    NumPy op (the hardware analogue is C parallel lookups + a log(C) adder
-    tree).
+    ``(n, D_out)``. Each subspace is one vectorized ``take`` added in place
+    (the hardware analogue is C parallel lookups + a log(C) adder tree), so
+    no ``(n, C, D_out)`` gather is materialized. The subspaces are summed in
+    order, as the single-query fast path's ``np.add.reduce(axis=0)`` sums
+    them.
     """
-    c = table.shape[0]
-    gathered = table[np.arange(c)[None, :], codes]  # (n, C, D_out)
-    return gathered.sum(axis=1)
+    out = table[0].take(codes[:, 0], 0)
+    for c in range(1, table.shape[0]):
+        out += table[c].take(codes[:, c], 0)
+    return out
 
 
 def pairwise_prototype_table(

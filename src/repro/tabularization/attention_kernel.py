@@ -32,6 +32,26 @@ from repro.quantization.pq import ProductQuantizer, pairwise_prototype_table
 from repro.utils.rng import spawn_rngs
 
 
+def _pair_lookup(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``out[b, i, j] = sum_c table[c, rows[c, b, i], cols[c, b, j]]``.
+
+    ``table`` is ``(C, K, K)``; ``rows``/``cols`` are ``(C, B, I)``/``(C, B, J)``
+    codes. Entry ``(r, s)`` of ``table[c]`` is element ``r·K + s`` of its
+    flattened view, so each subspace is one ``take``, added in place in
+    subspace order, as the single-query fast path's ``np.add.reduce(axis=0)``
+    sums them.
+    """
+    k = table.shape[1]
+
+    def gather(c):
+        return table[c].reshape(-1).take(rows[c][:, :, None] * k + cols[c][:, None, :])
+
+    out = gather(0)
+    for c in range(1, table.shape[0]):
+        out += gather(c)
+    return out
+
+
 class TabularAttention:
     """Scaled-dot-product attention as two quantizations + two tables."""
 
@@ -115,13 +135,9 @@ class TabularAttention:
     ) -> np.ndarray:
         """Approximate ``Q Kᵀ`` via table lookups (Eq. 13) for (B, T, D_k)."""
         b, t, dk = q.shape
-        ck = qk_table.shape[0]
-        iq = pq_q.encode(q.reshape(-1, dk)).reshape(b, t, ck)
-        ik = pq_k.encode(k.reshape(-1, dk)).reshape(b, t, ck)
-        c_idx = np.arange(ck)
-        # gathered[b, t1, t2, c] = qk_table[c, iq[b, t1, c], ik[b, t2, c]]
-        gathered = qk_table[c_idx, iq[:, :, None, :], ik[:, None, :, :]]
-        return gathered.sum(axis=-1)
+        iq = pq_q.encode(q.reshape(-1, dk)).T.reshape(-1, b, t)
+        ik = pq_k.encode(k.reshape(-1, dk)).T.reshape(-1, b, t)
+        return _pair_lookup(qk_table, iq, ik)
 
     # ------------------------------------------------------------------ query
     def query(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -133,14 +149,10 @@ class TabularAttention:
                 f"(T={self.seq_len}, Dk={self.head_dim})"
             )
         qk_hat = self._qk_lookup(self.pq_q, self.pq_k, self.qk_table, q, k)
-        ct = self.qkv_table.shape[0]
-        iqk = self.pq_qk.encode(qk_hat.reshape(-1, t)).reshape(b, t, ct)
+        iqk = self.pq_qk.encode(qk_hat.reshape(-1, t)).T.reshape(-1, b, t)
         v_cols = np.ascontiguousarray(v.transpose(0, 2, 1)).reshape(-1, t)
-        iv = self.pq_v.encode(v_cols).reshape(b, dk, ct)
-        c_idx = np.arange(ct)
-        # out[b, t, d] = sum_c qkv_table[c, iqk[b, t, c], iv[b, d, c]]
-        gathered = self.qkv_table[c_idx, iqk[:, :, None, :], iv[:, None, :, :]]
-        return gathered.sum(axis=-1)
+        iv = self.pq_v.encode(v_cols).T.reshape(-1, b, dk)
+        return _pair_lookup(self.qkv_table, iqk, iv)
 
     def make_attention_plan(self, batch: int):
         """Preallocated fixed-batch query plan (the single-query fast path).

@@ -25,12 +25,17 @@ model's fixed history length ``T`` — once, at build time:
 generic path's exact operation order or applies a transformation verified to
 be IEEE-754 exact:
 
-* encode distances use prototypes pre-scaled by ``-2`` —
-  ``x @ (-2·P)ᵀ + c_sq`` is bitwise-identical to ``c_sq - 2.0·(x @ Pᵀ)``
-  because scaling by a power of two commutes with round-to-nearest and
-  ``a - b ≡ (-b) + a``;
-* matmuls run per subspace on contiguous operands (batched 3-D matmuls are
-  *not* slice-identical to 2-D ones for all shapes and are avoided);
+* encode takes its ``(-2·Pᵀ, ‖P‖²)`` operands from the quantizer
+  (``ProductQuantizer.exact_operands``), the same arrays the batch encode
+  uses, and computes ``x·(-2·Pᵀ) + ‖P‖²`` the way the batch kernel
+  ``kmeans.nearest_into`` does: one ``ndarray.dot`` per subspace, then an
+  add and an argmin. The tiling of the batch path does not matter: with
+  the C-contiguous ``-2·Pᵀ`` operand, OpenBLAS gemm gives each output
+  element the same arithmetic at any row count (``tests/test_quantization.py``
+  pins it). A one-row product would go to gemv, whose summation order
+  differs, so a one-row plan (the head table's) computes a spare second row;
+* matmuls run per subspace (batched 3-D matmuls are *not* slice-identical
+  to 2-D ones for all shapes and are avoided);
 * ``mean``/``var`` decompose into the same ``np.add.reduce`` + divide
   sequence NumPy's ``_methods`` implement;
 * elementwise ops and gathers are value-exact regardless of batching, so
@@ -61,8 +66,8 @@ class EncodePlan:
     """
 
     __slots__ = (
-        "pq", "n", "kind", "pad", "x_pad", "subs", "sub_slices", "_mm",
-        "c_sq", "dist", "codes", "_view", "_view_src", "_dim_slice",
+        "pq", "n", "kind", "pad", "x_pad", "subs", "subs_n", "sub_slices", "_mm",
+        "c_sq", "dist", "dist_n", "codes", "_view", "_view_src", "_dim_slice",
     )
 
     def __init__(self, pq, n: int):
@@ -75,28 +80,34 @@ class EncodePlan:
         # rewritten per query — this replaces the generic path's np.pad.
         self.x_pad = np.zeros((self.n, pq.padded_dim)) if self.pad else None
         self._dim_slice = (slice(None), slice(0, pq.dim))
-        #: contiguous per-subspace splits (BLAS needs contiguous operands;
-        #: the generic path's strided views force matmul's slow path)
-        self.subs = np.zeros((c, self.n, v))
-        self.sub_slices = [self.subs[ci] for ci in range(c)]
+        # Contiguous per-subspace splits of at least two rows: a one-row
+        # product would run gemv, not the gemm every batched row gets (see
+        # ``kmeans.nearest_into``); a spare row is computed and ignored.
+        rows = max(self.n, 2)
+        self.subs = np.zeros((c, rows, v))
+        self.subs_n = self.subs[:, : self.n]
+        self.sub_slices = [self.subs_n[ci] for ci in range(c)]
         if self.kind == "exact":
-            # ||P||² terms materialized at full (C, n, K) shape: a same-shape
-            # add is measurably cheaper to dispatch than a broadcast add, and
-            # elementwise adds of equal values are bitwise-identical.
-            c_sq = (pq.prototypes * pq.prototypes).sum(axis=2)[:, None, :]
-            self.c_sq = np.ascontiguousarray(np.broadcast_to(c_sq, (c, self.n, k)))
-            self.dist = np.empty((c, self.n, k))
-            #: per-subspace (input.dot, -2·prototypesᵀ, output) GEMM operands —
-            #: prototypes pre-scaled by -2 (IEEE-exact fold, see module doc);
-            #: ``ndarray.dot`` reaches the same BLAS dgemm as ``np.matmul``
-            #: (verified bitwise-identical) with far less dispatch overhead
+            operands = pq.exact_operands()
+            # ||P||² terms materialized at full (C, rows, K) shape: a
+            # same-shape add is measurably cheaper to dispatch than a
+            # broadcast add, and elementwise adds of equal values are
+            # bitwise-identical.
+            c_sq = np.stack([sq for _, sq in operands])[:, None, :]
+            self.c_sq = np.ascontiguousarray(np.broadcast_to(c_sq, (c, rows, k)))
+            self.dist = np.empty((c, rows, k))
+            self.dist_n = self.dist[:, : self.n]
+            #: per-subspace (input.dot, -2·Pᵀ, output) GEMM operands, the
+            #: -2·Pᵀ shared with the quantizer's batch encode; ``ndarray.dot``
+            #: reaches the same BLAS dgemm as ``np.matmul`` (verified
+            #: bitwise-identical) with far less dispatch overhead
             self._mm = [
-                (self.subs[ci].dot, np.multiply(pq.prototypes[ci], -2.0).T, self.dist[ci])
-                for ci in range(c)
+                (self.subs[ci].dot, neg2_t, self.dist[ci])
+                for ci, (neg2_t, _) in enumerate(operands)
             ]
         else:
             self.c_sq = None
-            self.dist = None
+            self.dist = self.dist_n = None
             self._mm = None
         self.codes = np.empty((c, self.n), dtype=np.intp)
         # The (n, C, V) split view is cached keyed on source-buffer identity:
@@ -123,7 +134,7 @@ class EncodePlan:
             if x2d.flags.c_contiguous:  # reshape is a true view: safe to cache
                 self._view, self._view_src = view, x2d
         # One strided→contiguous copy splits all subspaces at once.
-        np.copyto(self.subs, view)
+        np.copyto(self.subs_n, view)
         codes = self.codes
         if self.kind == "exact":
             for dot, neg2_t, dst in self._mm:
@@ -131,7 +142,7 @@ class EncodePlan:
             # Elementwise add and argmin are value-exact at any batching:
             # one call covers every subspace.
             np.add(self.dist, self.c_sq, self.dist)
-            self.dist.argmin(2, codes)
+            self.dist_n.argmin(2, codes)
         else:
             for c, tree in enumerate(self.pq._hash_trees):
                 codes[c] = tree.encode(self.sub_slices[c])

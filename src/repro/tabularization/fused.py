@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.quantization.pq import ProductQuantizer
+from repro.quantization.pq import ProductQuantizer, lookup_aggregate
 
 
 class FusedFunctionTable:
@@ -82,9 +82,7 @@ class FusedFunctionTable:
     def query(self, x: np.ndarray) -> np.ndarray:
         lead = x.shape[:-1]
         codes = self.pq.encode(x.reshape(-1, self.in_dim))
-        c_idx = np.arange(self.pq.n_subspaces)
-        out = self.table[c_idx[None, :], codes].sum(axis=1)
-        return out.reshape(*lead, self.out_dim)
+        return lookup_aggregate(self.table, codes).reshape(*lead, self.out_dim)
 
     def make_row_plan(self, n_rows: int):
         """Preallocated fixed-row-count query plan (the single-query fast path).

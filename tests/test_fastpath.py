@@ -106,3 +106,38 @@ def test_predict_proba_batch_one_matches_query1(tab, queries):
     probs = tab.predict_proba(xa[:8], xp[:8], batch_size=1)
     for i in range(8):
         assert np.array_equal(probs[i], tab.query1(xa[i], xp[i]))
+
+
+@pytest.fixture(scope="module")
+def dart_geometry():
+    """Tables at the paper's DART geometry: D=32, H=2, T=16, K=128, C=2."""
+    from repro.data import PreprocessConfig, build_dataset
+    from repro.distillation import TrainConfig, train_model
+    from repro.models import AttentionPredictor, ModelConfig
+    from repro.tabularization import TableConfig, tabularize_predictor
+    from repro.traces import make_workload
+
+    pre = PreprocessConfig(history_len=16, window=10, delta_range=128)
+    trace = make_workload("462.libquantum", scale=0.05, seed=11)
+    ds = build_dataset(trace.pcs, trace.addrs, pre, max_samples=1100)
+    student = AttentionPredictor(
+        ModelConfig(layers=1, dim=32, heads=2, history_len=16, bitmap_size=256),
+        ds.x_addr.shape[2], ds.x_pc.shape[2], rng=0,
+    )
+    train_model(student, ds, None, TrainConfig(epochs=1, batch_size=128, lr=2e-3, seed=0))
+    model, _ = tabularize_predictor(
+        student, ds.x_addr, ds.x_pc, TableConfig.uniform(128, 2), rng=0
+    )
+    return model, ds.x_addr[:1025], ds.x_pc[:1025]
+
+
+def test_predict_proba_chunk_rows_match_query1_at_dart_geometry(dart_geometry):
+    """A 1024-row chunk and B=1 serve every row with the same codes: the
+    batch encode tiles its rows, the fast path encodes T rows (one for the
+    head), and both reach the same GEMM arithmetic. Row 1024 is a one-row
+    chunk of its own."""
+    model, xa, xp = dart_geometry
+    assert len(xa) == 1025
+    probs = model.predict_proba(xa, xp, batch_size=1024)
+    for i in range(len(xa)):
+        assert np.array_equal(probs[i], model.query1(xa[i], xp[i])), f"row {i} diverged"

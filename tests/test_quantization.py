@@ -1,5 +1,7 @@
 """k-means, hash-tree encoder, and product quantization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,8 @@ from repro.quantization import (
     lookup_aggregate,
     pairwise_prototype_table,
 )
+from repro.quantization import kmeans as kmeans_mod
+from repro.quantization.kmeans import NEAREST_TILE
 
 
 def _clustered_data(rng, n=600, d=8, k=4, spread=0.05):
@@ -126,12 +130,14 @@ def test_bias_folding_adds_exactly_once(rng):
 
 
 def test_lookup_aggregate_equals_manual_sum(rng):
-    table = rng.standard_normal((3, 5, 4))
-    codes = rng.integers(0, 5, size=(7, 3))
-    out = lookup_aggregate(table, codes)
-    for i in range(7):
-        ref = sum(table[c, codes[i, c]] for c in range(3))
-        assert np.allclose(out[i], ref)
+    """Bitwise: subspaces are summed in order, as the fast path sums them."""
+    for n_sub in (1, 2, 3, 9):
+        table = rng.standard_normal((n_sub, 5, 4))
+        codes = rng.integers(0, 5, size=(7, n_sub))
+        out = lookup_aggregate(table, codes)
+        for i in range(7):
+            ref = sum(table[c, codes[i, c]] for c in range(n_sub))
+            assert np.array_equal(out[i], ref)
 
 
 def test_pairwise_prototype_table(rng):
@@ -169,3 +175,119 @@ def test_pq_quantized_reconstruction_is_prototype_pick(n, c, k):
     recon = pq.reconstruct(codes)
     # re-encoding a reconstruction returns the same codes (idempotence)
     assert np.array_equal(pq.encode(recon), codes)
+
+
+# ------------------------------------------------- tiled exact encode kernel
+def _untiled_nearest(x, centers):
+    """The untiled reference: one ``c_sq - 2.0·(x @ Pᵀ)`` block over all rows."""
+    c_sq = (centers * centers).sum(axis=1)
+    return np.argmin(c_sq[None, :] - 2.0 * (x @ centers.T), axis=1)
+
+
+def _untiled_encode(pq, x):
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    padded = np.zeros((x.shape[0], pq.padded_dim))
+    padded[:, : pq.dim] = x
+    subs = padded.reshape(x.shape[0], pq.n_subspaces, pq.subdim)
+    return np.stack(
+        [_untiled_nearest(subs[:, c], p) for c, p in enumerate(pq.prototypes)], axis=1
+    )
+
+
+@pytest.fixture(scope="module")
+def fitted_pq():
+    x = np.random.default_rng(5).standard_normal((2000, 12))
+    return ProductQuantizer(12, 3, 32, rng=0).fit(x)
+
+
+@pytest.mark.parametrize(
+    "n", [1, NEAREST_TILE - 1, NEAREST_TILE, NEAREST_TILE + 1, 3 * NEAREST_TILE + 5]
+)
+def test_tiled_encode_equals_untiled_formula(fitted_pq, n):
+    x = np.random.default_rng(n).standard_normal((n, 12))
+    codes = fitted_pq.encode(x)
+    assert codes.shape == (n, 3)
+    assert np.array_equal(codes, _untiled_encode(fitted_pq, x))
+
+
+def test_tiled_encode_one_dimensional_input(fitted_pq):
+    x = np.random.default_rng(1).standard_normal(12)
+    codes = fitted_pq.encode(x)
+    assert codes.shape == (3,)
+    assert np.array_equal(codes, _untiled_encode(fitted_pq, x)[0])
+
+
+def test_tiled_encode_padded_dim(rng):
+    x = rng.standard_normal((NEAREST_TILE + 7, 10))
+    pq = ProductQuantizer(10, 3, 16, rng=0).fit(x)  # 10 dims over 3 subspaces: padded
+    assert pq.padded_dim == 12
+    assert np.array_equal(pq.encode(x), _untiled_encode(pq, x))
+
+
+def test_tiled_encode_non_contiguous_input(fitted_pq, rng):
+    wide = rng.standard_normal((NEAREST_TILE + 3, 24))
+    strided = wide[:, ::2]
+    fortran = np.asfortranarray(wide[:, :12])
+    for x in (strided, fortran):
+        assert not x.flags.c_contiguous
+        assert np.array_equal(fitted_pq.encode(x), _untiled_encode(fitted_pq, x))
+
+
+def test_exact_operands_rebuilt_when_prototypes_change(rng):
+    x = rng.standard_normal((600, 8))
+    pq = ProductQuantizer(8, 2, 16, rng=0).fit(x)
+    ops = pq.exact_operands()
+    assert pq.exact_operands() is ops  # cached between encodes
+    assert set(pq.state_dict()) == {"prototypes"}  # never serialized
+
+    pq.fit(rng.standard_normal((600, 8)) + 3.0)  # re-fit rebinds prototypes
+    assert pq.exact_operands() is not ops
+    assert np.array_equal(pq.encode(x), _untiled_encode(pq, x))
+
+    ops = pq.exact_operands()
+    pq.prototypes = np.ascontiguousarray(pq.prototypes[:, ::-1])  # as a loader does
+    assert pq.exact_operands() is not ops
+    assert np.array_equal(pq.encode(x), _untiled_encode(pq, x))
+
+
+@pytest.mark.parametrize("subdim", [8, 16, 32, 64])
+def test_exact_operands_give_row_count_invariant_products(rng, subdim):
+    """A row's distances must not depend on how many rows share its product:
+    the batch encode's tail tile and the fast path's T-row plans rely on it."""
+    pq = ProductQuantizer(2 * subdim, 2, 128)
+    pq.prototypes = rng.standard_normal((2, 128, subdim))
+    x = rng.standard_normal((NEAREST_TILE, subdim))
+    for neg2_t, _ in pq.exact_operands():
+        full = x.dot(neg2_t)
+        for m in (*range(2, 18), 32, 33, NEAREST_TILE - 1):
+            assert np.array_equal(x[:m].dot(neg2_t), full[:m]), f"{m} rows"
+
+
+def test_tiled_encode_memory_stays_below_one_distance_matrix():
+    """The untiled kernel allocated several (n, K) float64 temporaries."""
+    n, k = 65536, 128
+    rng = np.random.default_rng(0)
+    pq = ProductQuantizer(16, 2, k)
+    pq.prototypes = rng.standard_normal((2, k, 8))
+    x = rng.standard_normal((n, 16))
+    pq.encode(x[:4])  # build the cached operands outside the measurement
+    tracemalloc.start()
+    try:
+        pq.encode(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * k * 8 / 16
+
+
+@pytest.mark.parametrize("n, k", [(1500, 16), (5, 16)])
+def test_kmeans_bitwise_equal_to_untiled_assignment(rng, monkeypatch, n, k):
+    """Seeded k-means gives the same centers and labels as with the old
+    ``c_sq - 2.0·(x @ Pᵀ)`` assignment (the second case is the k >= n path)."""
+    x = rng.standard_normal((n, 6))
+    centers, labels, inertia = kmeans_fit(x, k, rng=3)
+    monkeypatch.setattr(kmeans_mod, "assign_nearest", _untiled_nearest)
+    ref_centers, ref_labels, ref_inertia = kmeans_fit(x, k, rng=3)
+    assert np.array_equal(centers, ref_centers)
+    assert np.array_equal(labels, ref_labels)
+    assert inertia == ref_inertia
