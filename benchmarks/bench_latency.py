@@ -1,22 +1,19 @@
-"""Low-occupancy latency: B=1 fast path + shared-memory ring IPC vs pipes.
+"""Low-occupancy latency: the B=1 fast path and the live-migration pause.
 
 Not a paper figure — the raw-speed check for the runtime. A real prefetcher
 lives at occupancy one (one access in flight, no batch to amortize over), so
-this bench pins the two per-access latency attacks:
+this bench pins the per-access latency of serving:
 
 * **B=1 fast path** — DART served at batch size 1 must run >= 3x the seed's
   1,629 acc/s (``BENCH_streaming.json``, B=1 row) with emissions bit-identical
   to the batch oracle, and every flush must dispatch through the single-query
   fast path (``fast_path_flushes == predict_calls``);
-* **ring vs pipe echo** — a frame round-tripped through a worker process over
-  the SPSC shared-memory ring pair vs the same frame over a duplex
-  ``multiprocessing.Pipe``;
-* **sharded ring mode** — ``ShardedEngine(ipc="ring")`` emissions must be
-  bit-identical to pipe mode at every W, and the live-migration pause p99 in
-  ring mode is compared against the committed pipe-era
-  ``BENCH_elastic.json`` baseline (5,055 us).
+* **live-migration pause** — streams migrated back and forth across a W=2
+  ``ShardedEngine`` must stay bit-identical to the batch oracle, and the
+  pause p99 is compared against the committed ``BENCH_elastic.json``
+  baseline (5,055 us).
 
-Absolute-time gates (p50 bar, echo ratio, pause improvement) follow the
+Absolute-time gates (p50 bar, pause bar) follow the
 ``bench_sharded`` convention: on hosts without enough cores for the worker
 processes to actually run in parallel the numbers are still measured and
 recorded, but the gate is marked skipped with the reason — a frontend and a
@@ -35,24 +32,22 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing as mp
 import os
 import time
 
 from bench_sharded import build_dart, make_streams
 
-from repro.runtime import RingWait, attach_ring, create_ring, serve
+from repro.runtime import serve
 from repro.utils import log
 
 #: seed-era B=1 numbers from the committed BENCH_streaming.json trajectory.
 SEED_B1_THROUGHPUT = 1629.1
 SEED_B1_P50_US = 550.6
-#: pipe-era migration pause p99 from the committed BENCH_elastic.json.
+#: migration pause p99 from the committed BENCH_elastic.json.
 ELASTIC_PAUSE_BASELINE_US = 5055.3
 
 B1_SPEEDUP_BAR = 3.0
 B1_P50_BAR_US = 150.0
-ECHO_SPEEDUP_BAR = 5.0  # pipe round-trip p50 must be >= 5x the ring's
 MIN_CPUS_FOR_TIMING_GATE = 4  # same convention as bench_sharded scaling gate
 
 
@@ -93,130 +88,6 @@ def bench_b1(accesses: int, reps: int, seed: int) -> dict:
     }
 
 
-# ------------------------------------------------------------- IPC echo bench
-def _ring_echo_worker(in_name: str, out_name: str, frames: int, wait: dict) -> None:
-    w = RingWait(**wait)
-    with attach_ring(in_name, wait=w) as inbound, attach_ring(out_name, wait=w) as outbound:
-        for _ in range(frames):
-            outbound.send(inbound.recv(timeout=60.0), timeout=60.0)
-
-
-def _pipe_echo_worker(conn, frames: int) -> None:
-    for _ in range(frames):
-        conn.send_bytes(conn.recv_bytes())
-    conn.close()
-
-
-def bench_echo(frames: int, payload_bytes: int, warmup: int = 50) -> dict:
-    ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
-    payload = bytes(range(256)) * (payload_bytes // 256 + 1)
-    payload = payload[:payload_bytes]
-    total = frames + warmup
-    perf = time.perf_counter
-
-    def timed(send, recv) -> list[float]:
-        times = []
-        for i in range(total):
-            t0 = perf()
-            send(payload)
-            recv()
-            if i >= warmup:
-                times.append(perf() - t0)
-        return sorted(t * 1e6 for t in times)
-
-    # Ring pair: one request ring, one response ring, echoed by a real worker.
-    wait = RingWait(spin=256, sleep_s=100e-6)
-    req = create_ring(slots=64, slot_bytes=256, wait=wait)
-    rsp = create_ring(slots=64, slot_bytes=256, wait=wait)
-    proc = ctx.Process(
-        target=_ring_echo_worker,
-        args=(req.name, rsp.name, total, wait.to_dict()),
-        daemon=True,
-    )
-    proc.start()
-    try:
-        ring_us = timed(
-            lambda p: req.send(p, timeout=60.0, alive=proc.is_alive),
-            lambda: rsp.recv(timeout=60.0, alive=proc.is_alive),
-        )
-    finally:
-        proc.join(timeout=10.0)
-        if proc.is_alive():
-            proc.terminate()
-        req.close()
-        req.unlink()
-        rsp.close()
-        rsp.unlink()
-
-    # Pipe baseline: the exact frames over a duplex multiprocessing.Pipe.
-    here, there = ctx.Pipe(duplex=True)
-    proc = ctx.Process(target=_pipe_echo_worker, args=(there, total), daemon=True)
-    proc.start()
-    try:
-        pipe_us = timed(here.send_bytes, here.recv_bytes)
-    finally:
-        proc.join(timeout=10.0)
-        if proc.is_alive():
-            proc.terminate()
-        here.close()
-        there.close()
-
-    return {
-        "frames": frames,
-        "payload_bytes": payload_bytes,
-        "ring_p50_us": _pct(ring_us, 0.50),
-        "ring_p99_us": _pct(ring_us, 0.99),
-        "ring_min_us": ring_us[0],
-        "pipe_p50_us": _pct(pipe_us, 0.50),
-        "pipe_p99_us": _pct(pipe_us, 0.99),
-        "pipe_min_us": pipe_us[0],
-        "pipe_over_ring_p50": _pct(pipe_us, 0.50) / _pct(ring_us, 0.50),
-    }
-
-
-# -------------------------------------------------- sharded ring vs pipe mode
-def bench_sharded_ring(
-    accesses: int,
-    n_streams: int,
-    worker_counts: list[int],
-    batch_size: int,
-    max_wait: int,
-    seed: int,
-) -> dict:
-    traces = make_streams(n_streams, accesses, seed)
-    dart = build_dart(traces[0])
-    by_workers: dict[str, dict] = {}
-    for w in worker_counts:
-        lists_by_mode = {}
-        agg_by_mode = {}
-        for ipc in ("pipe", "ring"):
-            with dart.sharded(
-                workers=w, batch_size=batch_size, max_wait=max_wait, ipc=ipc
-            ) as eng:
-                agg, _, lists = eng.serve(traces, collect=True)
-                assert eng.stats()["ipc"] == ipc
-            lists_by_mode[ipc] = lists
-            agg_by_mode[ipc] = agg
-        identical = all(
-            lists_by_mode["ring"][s] == lists_by_mode["pipe"][s]
-            for s in range(n_streams)
-        )
-        by_workers[str(w)] = {
-            "ring_identical_to_pipe": identical,
-            "pipe": agg_by_mode["pipe"].to_dict(),
-            "ring": agg_by_mode["ring"].to_dict(),
-        }
-    return {
-        "accesses_per_stream": accesses,
-        "streams": n_streams,
-        "batch_size": batch_size,
-        "by_workers": by_workers,
-        "all_identical": all(
-            v["ring_identical_to_pipe"] for v in by_workers.values()
-        ),
-    }
-
-
 # ------------------------------------------------------ migration pause bench
 def bench_migration(
     accesses: int, n_streams: int, workers: int, batch_size: int, seed: int
@@ -225,57 +96,53 @@ def bench_migration(
     dart = build_dart(traces[0])
     oracles = [dart.prefetch_lists(t) for t in traces]
     perf = time.perf_counter
-    out: dict = {"accesses_per_stream": accesses, "streams": n_streams,
-                 "workers": workers, "batch_size": batch_size}
-
-    for ipc in ("pipe", "ring"):
-        pauses: list[float] = []
-        collected: list[dict] = [{} for _ in range(n_streams)]
-        engine = dart.sharded(
-            workers=workers, batch_size=batch_size, max_wait=4, io_chunk=64,
-            ipc=ipc, drain_poll_interval=5e-4,
-        )
-        with engine:
-            handles = [engine.open_stream(f"t{i}") for i in range(n_streams)]
-
-            def pump(lo: int, hi: int) -> None:
-                for i in range(lo, hi):
-                    for k, h in enumerate(handles):
-                        for em in h.ingest(
-                            int(traces[k].pcs[i]), int(traces[k].addrs[i])
-                        ):
-                            collected[k][em.seq] = list(em.blocks)
-
-            # Migrate every stream there and back, serving between migrations.
-            step = max(accesses // (2 * n_streams + 1), 1)
-            cursor = 0
-            for h in handles + handles:
-                pump(cursor, min(cursor + step, accesses))
-                cursor = min(cursor + step, accesses)
-                t0 = perf()
-                engine.migrate_stream(h, (h.shard_id + 1) % workers)
-                pauses.append(perf() - t0)
-            pump(cursor, accesses)
-            for k, h in enumerate(handles):
-                for em in engine.close_stream(h):
-                    collected[k][em.seq] = list(em.blocks)
-
-        identical = all(
-            [collected[k].get(s) for s in range(accesses)] == oracles[k][:accesses]
-            for k in range(n_streams)
-        )
-        us = sorted(p * 1e6 for p in pauses)
-        out[ipc] = {
-            "migrations": len(us),
-            "pause_p50_us": _pct(us, 0.50),
-            "pause_p99_us": _pct(us, 0.99),
-            "pause_max_us": us[-1],
-            "identical_to_batch": identical,
-        }
-    out["ring_over_pipe_p99"] = (
-        out["ring"]["pause_p99_us"] / out["pipe"]["pause_p99_us"]
+    pauses: list[float] = []
+    collected: list[dict] = [{} for _ in range(n_streams)]
+    engine = dart.sharded(
+        workers=workers, batch_size=batch_size, max_wait=4, io_chunk=64,
+        drain_poll_interval=5e-4,
     )
-    return out
+    with engine:
+        handles = [engine.open_stream(f"t{i}") for i in range(n_streams)]
+
+        def pump(lo: int, hi: int) -> None:
+            for i in range(lo, hi):
+                for k, h in enumerate(handles):
+                    for em in h.ingest(
+                        int(traces[k].pcs[i]), int(traces[k].addrs[i])
+                    ):
+                        collected[k][em.seq] = list(em.blocks)
+
+        # Migrate every stream there and back, serving between migrations.
+        step = max(accesses // (2 * n_streams + 1), 1)
+        cursor = 0
+        for h in handles + handles:
+            pump(cursor, min(cursor + step, accesses))
+            cursor = min(cursor + step, accesses)
+            t0 = perf()
+            engine.migrate_stream(h, (h.shard_id + 1) % workers)
+            pauses.append(perf() - t0)
+        pump(cursor, accesses)
+        for k, h in enumerate(handles):
+            for em in engine.close_stream(h):
+                collected[k][em.seq] = list(em.blocks)
+
+    identical = all(
+        [collected[k].get(s) for s in range(accesses)] == oracles[k][:accesses]
+        for k in range(n_streams)
+    )
+    us = sorted(p * 1e6 for p in pauses)
+    return {
+        "accesses_per_stream": accesses,
+        "streams": n_streams,
+        "workers": workers,
+        "batch_size": batch_size,
+        "migrations": len(us),
+        "pause_p50_us": _pct(us, 0.50),
+        "pause_p99_us": _pct(us, 0.99),
+        "pause_max_us": us[-1],
+        "identical_to_batch": identical,
+    }
 
 
 # --------------------------------------------------------------------- driver
@@ -288,11 +155,6 @@ def run(args) -> dict:
     )
 
     b1 = bench_b1(args.accesses, args.reps, args.seed)
-    echo = bench_echo(args.echo_frames, args.echo_bytes)
-    sharded = bench_sharded_ring(
-        args.sharded_accesses, args.streams, args.workers,
-        args.batch_size, args.max_wait, args.seed,
-    )
     migration = bench_migration(
         args.migration_accesses, args.migration_streams, 2,
         args.batch_size, args.seed,
@@ -318,30 +180,17 @@ def run(args) -> dict:
                 if timing_gates_apply else skip_reason
             ),
         },
-        "ring_echo": {
-            "bar": ECHO_SPEEDUP_BAR,
-            "measured": echo["pipe_over_ring_p50"],
-            "status": (
-                ("pass" if echo["pipe_over_ring_p50"] >= ECHO_SPEEDUP_BAR
-                 else "fail")
-                if timing_gates_apply else skip_reason
-            ),
-        },
-        "ring_identity": {
+        "migration_identity": {
             "bar": True,
-            "measured": sharded["all_identical"]
-            and migration["ring"]["identical_to_batch"]
-            and migration["pipe"]["identical_to_batch"],
-            "status": ("pass" if sharded["all_identical"]
-                       and migration["ring"]["identical_to_batch"]
-                       and migration["pipe"]["identical_to_batch"] else "fail"),
+            "measured": migration["identical_to_batch"],
+            "status": "pass" if migration["identical_to_batch"] else "fail",
         },
         "migration_pause": {
             "bar": ELASTIC_PAUSE_BASELINE_US,
-            "measured": migration["ring"]["pause_p99_us"],
+            "measured": migration["pause_p99_us"],
             "status": (
                 ("pass"
-                 if migration["ring"]["pause_p99_us"] < ELASTIC_PAUSE_BASELINE_US
+                 if migration["pause_p99_us"] < ELASTIC_PAUSE_BASELINE_US
                  else "fail")
                 if timing_gates_apply else skip_reason
             ),
@@ -360,8 +209,6 @@ def run(args) -> dict:
             "source": "BENCH_streaming.json / BENCH_elastic.json",
         },
         "b1": b1,
-        "ipc_echo": echo,
-        "sharded_ring": sharded,
         "migration": migration,
         "gates": gates,
         "pass": ok,
@@ -386,50 +233,22 @@ def run(args) -> dict:
         ],
     )
     log.table(
-        f"IPC echo round-trip ({args.echo_frames} frames x "
-        f"{args.echo_bytes} B)",
-        ["channel", "p50 us", "p99 us", "min us"],
-        [
-            ["ring", f"{echo['ring_p50_us']:.1f}", f"{echo['ring_p99_us']:.1f}",
-             f"{echo['ring_min_us']:.1f}"],
-            ["pipe", f"{echo['pipe_p50_us']:.1f}", f"{echo['pipe_p99_us']:.1f}",
-             f"{echo['pipe_min_us']:.1f}"],
-        ],
-    )
-    rows = []
-    for w, v in sharded["by_workers"].items():
-        rows.append(
-            [w, f"{v['pipe']['throughput']:,.0f}",
-             f"{v['ring']['throughput']:,.0f}",
-             str(v["ring_identical_to_pipe"])]
-        )
-    log.table(
-        f"sharded ring vs pipe ({sharded['streams']} streams x "
-        f"{sharded['accesses_per_stream']:,} accesses)",
-        ["workers", "pipe acc/s", "ring acc/s", "identical"],
-        rows,
-    )
-    log.table(
-        f"live-migration pause ({migration['ring']['migrations']} migrations, "
+        f"live-migration pause ({migration['migrations']} migrations, "
         f"drain poll 0.5 ms)",
-        ["ipc", "p50 us", "p99 us", "max us", "identical"],
-        [
-            [ipc, f"{migration[ipc]['pause_p50_us']:.0f}",
-             f"{migration[ipc]['pause_p99_us']:.0f}",
-             f"{migration[ipc]['pause_max_us']:.0f}",
-             str(migration[ipc]["identical_to_batch"])]
-            for ipc in ("pipe", "ring")
-        ],
+        ["p50 us", "p99 us", "max us", "identical"],
+        [[f"{migration['pause_p50_us']:.0f}",
+          f"{migration['pause_p99_us']:.0f}",
+          f"{migration['pause_max_us']:.0f}",
+          str(migration["identical_to_batch"])]],
     )
     verdict = "PASS" if ok else "FAIL"
     print(
         f"[{verdict}] B=1 {b1['speedup_vs_seed']:.2f}x vs seed "
-        f"(p50 {best['p50_us']:.1f} us), pipe/ring echo p50 ratio "
-        f"{echo['pipe_over_ring_p50']:.2f} (bar >= {ECHO_SPEEDUP_BAR}), "
-        f"ring-mode migration p99 {migration['ring']['pause_p99_us']:.0f} us "
-        f"(pipe-era baseline {ELASTIC_PAUSE_BASELINE_US:.0f} us), "
+        f"(p50 {best['p50_us']:.1f} us), "
+        f"migration p99 {migration['pause_p99_us']:.0f} us "
+        f"(baseline {ELASTIC_PAUSE_BASELINE_US:.0f} us), "
         f"identity: B=1 {b1['all_identical']}, "
-        f"ring {sharded['all_identical']}"
+        f"migration {migration['identical_to_batch']}"
     )
     if args.output:
         with open(args.output, "w", encoding="utf-8") as f:
@@ -442,15 +261,9 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--accesses", type=int, default=20_000, help="B=1 section")
     ap.add_argument("--reps", type=int, default=3, help="B=1 reps (best kept)")
-    ap.add_argument("--echo-frames", type=int, default=600)
-    ap.add_argument("--echo-bytes", type=int, default=64)
-    ap.add_argument("--sharded-accesses", type=int, default=2000, help="per stream")
-    ap.add_argument("--streams", type=int, default=4)
-    ap.add_argument("--workers", type=int, nargs="+", default=[1, 2, 4])
     ap.add_argument("--migration-accesses", type=int, default=2000, help="per stream")
     ap.add_argument("--migration-streams", type=int, default=8)
     ap.add_argument("--batch-size", type=int, default=16)
-    ap.add_argument("--max-wait", type=int, default=4)
     ap.add_argument("--seed", type=int, default=2)
     ap.add_argument("--output", "-o", default="BENCH_latency.json")
     ap.add_argument("--smoke", action="store_true",
@@ -459,10 +272,6 @@ def main(argv=None) -> int:
     if args.smoke:
         args.accesses = 1500
         args.reps = 1
-        args.echo_frames = 150
-        args.sharded_accesses = 800
-        args.streams = 2
-        args.workers = [1, 2]
         args.migration_accesses = 800
         args.migration_streams = 4
     record = run(args)

@@ -50,7 +50,6 @@ def run(
     max_wait: int,
     output: str | None,
     seed: int = 2,
-    ipc: str = "pipe",
     identity_accesses: int | None = None,
 ) -> dict:
     traces = make_streams(n_streams, accesses, seed)
@@ -74,7 +73,6 @@ def run(
         "batch_size": batch_size,
         "max_wait": max_wait,
         "workers": workers,
-        "ipc": ipc,
         "cpus": cpus,
         "by_depth": {},
     }
@@ -82,13 +80,13 @@ def run(
     for depth in DEPTHS:
         with dart.sharded(
             workers=workers, batch_size=batch_size, max_wait=max_wait,
-            ipc=ipc, pipeline_depth=depth,
+            pipeline_depth=depth,
         ) as eng:
             agg, _, _ = eng.serve(traces, collect=False)
             stats = eng.stats()
         with dart.sharded(
             workers=workers, batch_size=batch_size, max_wait=max_wait,
-            ipc=ipc, pipeline_depth=depth,
+            pipeline_depth=depth,
         ) as eng:
             _, _, lists = eng.serve(id_traces, collect=True)
         identical = all(lists[i] == ref_lists[i] for i in range(n_streams))
@@ -106,7 +104,7 @@ def run(
         )
     log.table(
         f"pipelined serving of {n_streams} streams over W={workers} "
-        f"({accesses:,} accesses each, B={batch_size}, ipc={ipc}, "
+        f"({accesses:,} accesses each, B={batch_size}, "
         f"{cpus} CPU(s) visible)",
         ["depth", "acc/s", "p50 us", "p99 us", "stalls", "overlap", "identical"],
         rows,
@@ -163,7 +161,6 @@ def main(argv=None) -> int:
     ap.add_argument("--workers", type=int, default=2)
     ap.add_argument("--batch-size", type=int, default=64)
     ap.add_argument("--max-wait", type=int, default=16)
-    ap.add_argument("--ipc", choices=["pipe", "ring"], default="pipe")
     ap.add_argument("--seed", type=int, default=2)
     ap.add_argument("--output", "-o", default="BENCH_pipeline.json")
     ap.add_argument("--smoke", action="store_true",
@@ -176,7 +173,7 @@ def main(argv=None) -> int:
         args.max_wait = 4
     record = run(
         args.accesses, args.streams, args.workers, args.batch_size,
-        args.max_wait, args.output, seed=args.seed, ipc=args.ipc,
+        args.max_wait, args.output, seed=args.seed,
     )
     return 0 if record["pass"] else 1
 

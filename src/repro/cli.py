@@ -372,7 +372,7 @@ def _stream_churn(args) -> int:
         raise SystemExit("--churn needs a model-backed prefetcher (--prefetcher dart)")
     engine = pf.sharded(
         workers=args.workers, batch_size=args.batch_size, max_wait=args.max_wait,
-        ipc=args.ipc, pipeline_depth=args.pipeline_depth,
+        pipeline_depth=args.pipeline_depth,
     )
     events: list[dict] = []
     length = min(len(s) for s in shards)
@@ -472,7 +472,7 @@ def _cmd_record(args) -> int:
     recorder = SessionRecorder()
     engine = pf.sharded(
         workers=args.workers, batch_size=args.batch_size,
-        ipc=args.ipc, pipeline_depth=args.pipeline_depth,
+        pipeline_depth=args.pipeline_depth,
     )
     recorder.attach(engine, model=getattr(pf, "artifact", None))
     marks = {}
@@ -577,7 +577,7 @@ def _stream_sharded(args) -> int:
         )
     engine = pf.sharded(
         workers=args.workers, batch_size=args.batch_size, max_wait=args.max_wait,
-        ipc=args.ipc, pipeline_depth=args.pipeline_depth,
+        pipeline_depth=args.pipeline_depth,
     )
     with engine:
         agg, per_stream, lists = engine.serve(shards, collect=args.compare_batch)
@@ -1103,10 +1103,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="with --workers W: run the elastic scenario "
                             "(mid-serve open/close, live migration, rescale, "
                             "hot swap) instead of a fixed-fleet serve")
-    p_str.add_argument("--ipc", choices=["pipe", "ring"], default="pipe",
-                       help="with --workers W: data-plane transport — 'ring' "
-                            "moves access/emission frames onto lock-free "
-                            "shared-memory rings (control stays on the pipe)")
     p_str.add_argument("--pipeline-depth", type=int, default=1,
                        help="with --workers W: data-plane credit window — up "
                             "to D chunks in flight per worker (1 = lockstep; "
@@ -1137,7 +1133,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--streams", type=int, default=2,
                        help="trace shards served as concurrent streams")
     p_rec.add_argument("--batch-size", type=int, default=32)
-    p_rec.add_argument("--ipc", choices=["pipe", "ring"], default="pipe")
     p_rec.add_argument("--pipeline-depth", type=int, default=1)
     p_rec.add_argument("--no-churn", dest="churn", action="store_false",
                        help="skip the scripted elastic churn (migrate / "
@@ -1153,7 +1148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rpl.add_argument("trace", help="DARTTRC1 session trace (from `repro record`)")
     p_rpl.add_argument("--column", default=None,
                        help="replay engine column (default: the recorded one; "
-                            "e.g. multistream, sharded, sharded-pipelined-ring)")
+                            "e.g. multistream, sharded, sharded-pipelined)")
     p_rpl.add_argument("--tables", default=None,
                        help="boot-model .npz override (defaults to the model "
                             "embedded in the trace)")

@@ -73,16 +73,6 @@ from repro.runtime.record import (
     TRACE_MAGIC,
 )
 from repro.runtime.replay import ContractViolation, ReplayReport, replay
-from repro.runtime.ring import (
-    Ring,
-    RingDataError,
-    RingError,
-    RingPeerDead,
-    RingTimeout,
-    RingWait,
-    attach_ring,
-    create_ring,
-)
 from repro.runtime.sharded import ShardedEngine, ShardFailure, ShardHandle
 from repro.runtime.throttle import (
     AdmissionController,
@@ -118,12 +108,6 @@ __all__ = [
     "MultiStreamEngine",
     "RecordingStream",
     "ReplayReport",
-    "Ring",
-    "RingDataError",
-    "RingError",
-    "RingPeerDead",
-    "RingTimeout",
-    "RingWait",
     "SequentialStreamAdapter",
     "SessionRecorder",
     "SessionTrace",
@@ -140,8 +124,6 @@ __all__ = [
     "TRACE_MAGIC",
     "access_pairs",
     "as_streaming",
-    "attach_ring",
-    "create_ring",
     "nn_refit",
     "replay",
     "score_prefetch_lists",

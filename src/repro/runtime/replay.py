@@ -56,9 +56,7 @@ REPLAY_TIMEOUT_FLOOR = 60.0
 REPLAY_COLUMNS = (
     "multistream",
     "sharded",
-    "sharded-ring",
     "sharded-pipelined",
-    "sharded-pipelined-ring",
 )
 
 #: scoring window for the accuracy/coverage floors (score_prefetch_lists)
@@ -264,7 +262,6 @@ def _build_engine(column: str, model, config, meta: dict, reply_timeout: float,
         **common,
         "workers": int(eng.get("workers") or 1),
         "io_chunk": int(eng.get("io_chunk") or 256),
-        "ipc": "ring" if column.endswith("-ring") else "pipe",
         "pipeline_depth": 4 if "pipelined" in column else int(
             eng.get("pipeline_depth") or 1
         ),

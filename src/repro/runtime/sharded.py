@@ -44,13 +44,10 @@ the protocol pickles — models that cannot ride shared memory travel in the
 stats replies are JSON, and snapshots use the stream-state codec, so a
 worker never executes attacker-controllable deserialization.
 
-With ``ipc="ring"`` the same frames ride lock-free SPSC shared-memory rings
-(:mod:`repro.runtime.ring`) instead of the pipe — one ingest and one
-emission ring per worker — eliminating the syscall + wakeup pair per
-round trip that dominates B=1 latency. Only the data plane moves; the
-control plane (registration, swaps, migration snapshots, stats, shutdown)
-stays on the pipe, and the byte-identical records keep the two transports
-bit-identical (pinned by the conformance suite).
+The pipe is the only transport (DESIGN.md "Transport decision"): data
+plane (accesses and emissions) and control plane (registration, swaps,
+migration snapshots, stats, shutdown) share one duplex connection per
+worker.
 
 **Pipelined data plane** (``pipeline_depth``): the frontend may keep up to
 ``pipeline_depth`` data-plane chunks in flight per worker, each tagged with
@@ -60,11 +57,10 @@ reply. Workers process their channel strictly FIFO and reply in the same
 order, so the frontend commits replies in per-worker sequence order — a
 mismatched sequence is a named protocol failure, never a misattributed
 emission. Replies are drained by a select-style poller across every
-worker's emission channel (``connection.wait`` over the pipes, a
-``readable`` sweep over the rings), so frontend featurization and reply
+worker's pipe (``connection.wait``), so frontend featurization and reply
 decoding overlap worker compute, and a slow shard never stalls the drain of
 a faster one. Per-stream emission order is untouched (streams stay pinned
-to one worker and each channel is FIFO); cross-worker arrival order was
+to one worker and each pipe is FIFO); cross-worker arrival order was
 never promised. Every barrier — ``flush_all``, ``swap_model`` drain-acks,
 ``migrate_stream`` freeze, ``rescale``, ``close`` — first **quiesces** the
 outstanding window (every credit returns), so the existing drain/ack
@@ -178,28 +174,15 @@ class ShardFailure(RuntimeError):
 
 # --------------------------------------------------------------------- worker
 def _worker_serve_loop(worker_id: int, conn, model_spec, engine_kwargs: dict,
-                       measure: bool, ring_spec: tuple | None = None,
-                       reply_timeout: float = 60.0,
-                       chaos_reply_delay: tuple | None = None):
+                       measure: bool, chaos_reply_delay: tuple | None = None):
     """One shard: a MultiStreamEngine over shared tables, driven by the pipe.
 
     Runs in its own OS process. Never returns normally — exits on
     ``OP_SHUTDOWN``, a closed pipe, or after reporting an error.
 
-    With ``ring_spec = (ingest_name, emission_name, wait_dict)`` the **data
-    plane** (``OP_ACCESS`` / ``OP_FLUSH`` and their emission replies) moves
-    onto a pair of shared-memory rings (:mod:`repro.runtime.ring`); the
-    control plane — register, swap, snapshot, stats, shutdown — stays on the
-    pipe. Every reply travels back on the channel its request arrived on, and
-    requests are processed strictly FIFO per channel, so replies leave in
-    request-sequence order — the invariant the pipelined frontend commits
-    against. The idle wait blocks on the pipe fd in ``sleep_s`` naps (control
-    traffic wakes it instantly) and re-checks the ring's published-slot word
-    each lap.
-
-    ``reply_timeout`` (the engine constructor's knob) bounds every parked
-    ring operation — a worker whose frontend stopped draining for that long
-    exits like it would on a broken pipe. ``chaos_reply_delay = (max_s,
+    Requests are processed strictly FIFO and every reply goes back on the
+    same pipe, so replies leave in request-sequence order — the invariant
+    the pipelined frontend commits against. ``chaos_reply_delay = (max_s,
     seed)`` is the fault-injection hook used by the pipeline fuzz: each
     data-plane reply is preceded by a seeded random sleep in ``[0, max_s)``,
     simulating slow/jittery shards without touching the protocol.
@@ -218,14 +201,7 @@ def _worker_serve_loop(worker_id: int, conn, model_spec, engine_kwargs: dict,
 
     tables = None
     model = None
-    ring_in = ring_out = None
     try:
-        if ring_spec is not None:
-            from repro.runtime.ring import RingWait, attach_ring
-
-            wait = RingWait(**ring_spec[2])
-            ring_in = attach_ring(ring_spec[0], wait=wait)
-            ring_out = attach_ring(ring_spec[1], wait=wait)
         if model_spec[0] == "shm":
             from repro.tabularization.shm import attach_artifact
 
@@ -254,8 +230,7 @@ def _worker_serve_loop(worker_id: int, conn, model_spec, engine_kwargs: dict,
                 if h is not None:
                     note(lidx, h.poll())
 
-        def reply_emissions(deliver: bool, meta: int | None = None,
-                            send=None) -> None:
+        def reply_emissions(deliver: bool, meta: int | None = None) -> None:
             drain()
             if meta is None:
                 meta = len(completed)
@@ -270,39 +245,13 @@ def _worker_serve_loop(worker_id: int, conn, model_spec, engine_kwargs: dict,
             else:
                 payload = b""
             completed.clear()
-            (send or conn.send_bytes)(_HDR.pack(REPLY_EMISSIONS, meta) + payload)
-
-        def ring_send(body: bytes) -> None:
-            # The frontend drains the emission ring whenever it polls or
-            # parks, so a full ring clears within one poller lap; a park
-            # lasting the engine's whole reply_timeout means the frontend is
-            # gone and the worker should exit like it would on a broken pipe.
-            ring_out.send(body, timeout=reply_timeout)
+            conn.send_bytes(_HDR.pack(REPLY_EMISSIONS, meta) + payload)
 
         while True:
-            via_ring = False
-            if ring_in is None:
-                try:
-                    msg = conn.recv_bytes()
-                except (EOFError, OSError):
-                    return  # frontend went away; nothing left to serve
-            else:
-                msg = None
-                spin = ring_in.wait.spin
-                while msg is None:
-                    if ring_in.readable:
-                        msg = ring_in.recv(timeout=reply_timeout)
-                        via_ring = True
-                        break
-                    if spin > 0:
-                        spin -= 1
-                        continue
-                    try:
-                        if conn.poll(ring_in.wait.sleep_s):
-                            msg = conn.recv_bytes()
-                    except (EOFError, OSError):
-                        return
-            reply = ring_send if via_ring else conn.send_bytes
+            try:
+                msg = conn.recv_bytes()
+            except (EOFError, OSError):
+                return  # frontend went away; nothing left to serve
             op, meta = _HDR.unpack_from(msg)
             payload = msg[_HDR.size :]
             try:
@@ -324,14 +273,12 @@ def _worker_serve_loop(worker_id: int, conn, model_spec, engine_kwargs: dict,
                             counts[lidx][0] += 1
                     if chaos_rng is not None:
                         time.sleep(chaos_rng.random() * chaos_max)
-                    reply_emissions(deliver=bool(meta & 1), meta=meta >> 1,
-                                    send=reply)
+                    reply_emissions(deliver=bool(meta & 1), meta=meta >> 1)
                 elif op == OP_FLUSH:
                     engine.flush_all()
                     if chaos_rng is not None:
                         time.sleep(chaos_rng.random() * chaos_max)
-                    reply_emissions(deliver=bool(meta & 1), meta=meta >> 1,
-                                    send=reply)
+                    reply_emissions(deliver=bool(meta & 1), meta=meta >> 1)
                 elif op == OP_REGISTER:
                     for _ in range(int(meta)):
                         handles.append(engine.stream())
@@ -442,11 +389,11 @@ def _worker_serve_loop(worker_id: int, conn, model_spec, engine_kwargs: dict,
                 try:
                     # Echo the opcode that was in flight so the frontend's
                     # ShardFailure can name the operation, not just the shard.
-                    reply(
+                    conn.send_bytes(
                         _HDR.pack(REPLY_ERR, op)
                         + traceback.format_exc().encode("utf-8", "replace")
                     )
-                except (BrokenPipeError, OSError, RuntimeError):
+                except (BrokenPipeError, OSError):
                     pass
                 return
     finally:
@@ -456,9 +403,6 @@ def _worker_serve_loop(worker_id: int, conn, model_spec, engine_kwargs: dict,
                 tables.close()
             except BufferError:
                 pass
-        for ring in (ring_in, ring_out):
-            if ring is not None:
-                ring.close()
         try:
             conn.close()
         except OSError:
@@ -480,10 +424,6 @@ class _Shard:
         # publication refcounting keys off these per-shard specs.
         self.spec = None
         self.version: int | None = None
-        # Ring-mode data plane (None in pipe mode). Frontend is the owner of
-        # both segments: producer on ingest, consumer on emissions.
-        self.ingest_ring = None
-        self.emission_ring = None
         # Pipelined data plane: the next request sequence number (monotone for
         # the worker's lifetime) and the outstanding window — (seq, bytes) per
         # un-acked data-plane request, committed strictly in seq order.
@@ -574,15 +514,9 @@ class ShardedEngine:
     emissions arrive correspondingly later (a :meth:`flush_all` bounds the
     wait, exactly like a micro-batch flush).
 
-    ``ipc`` selects the data-plane transport: ``"pipe"`` (default) ships
-    access rows and emission replies over the worker pipe; ``"ring"`` moves
-    them onto a pair of lock-free shared-memory rings per worker
-    (:mod:`repro.runtime.ring` — ``ring_slots`` x ``ring_slot_bytes`` each,
-    parked waits governed by ``ring_wait``), cutting the two syscalls plus
-    scheduler wakeup a pipe round trip costs. The control plane — admission,
-    swap, migration snapshots, stats, shutdown — stays on the pipe in both
-    modes, and the wire records are byte-identical, so emissions are
-    bit-identical across transports (pinned by the conformance suite).
+    Each worker has one duplex pipe to the frontend, carrying both the data
+    plane (access rows, emission replies) and the control plane (admission,
+    swap, migration snapshots, stats, shutdown).
 
     ``pipeline_depth`` is the credit window of the data plane: how many
     ``OP_ACCESS``/``OP_FLUSH`` chunks the frontend may keep in flight per
@@ -594,10 +528,8 @@ class ShardedEngine:
     per-stream ordered at any depth, and every barrier (flush, swap, close,
     freeze, rescale) quiesces the window first — see DESIGN.md "Pipelined
     data plane". ``pipe_window_bytes`` caps the in-flight request *bytes*
-    per worker in pipe mode (it must stay under the kernel's socketpair
-    buffer so the frontend's sends can never block against a worker blocked
-    mid-reply); ring mode instead drains replies while parked on a full
-    ingest ring, so its cap is the ring capacity itself.
+    per worker (it must stay under the kernel's socketpair buffer so the
+    frontend's sends can never block against a worker blocked mid-reply).
 
     ``reply_timeout`` / ``poll_interval`` govern :meth:`_recv`'s wait for a
     worker reply (total deadline, and the death-probe granularity while
@@ -631,10 +563,6 @@ class ShardedEngine:
         measure: bool = True,
         latency_cycles: int = 0,
         storage_bytes: float = 0.0,
-        ipc: str = "pipe",
-        ring_slots: int = 512,
-        ring_slot_bytes: int = 2048,
-        ring_wait=None,
         reply_timeout: float = 60.0,
         poll_interval: float = 0.05,
         drain_poll_interval: float = 0.005,
@@ -646,8 +574,6 @@ class ShardedEngine:
             raise ValueError("workers must be >= 1")
         if io_chunk < 1 or serve_chunk < 1:
             raise ValueError("io_chunk / serve_chunk must be >= 1")
-        if ipc not in ("pipe", "ring"):
-            raise ValueError(f"unknown ipc mode {ipc!r} (use 'pipe' or 'ring')")
         if reply_timeout <= 0 or poll_interval <= 0 or drain_poll_interval <= 0:
             raise ValueError("reply_timeout / poll intervals must be > 0")
         if pipeline_depth < 1:
@@ -675,15 +601,6 @@ class ShardedEngine:
         self.batch_size = int(batch_size)
         self.max_wait = max_wait
         self._measure = bool(measure)
-        self.ipc = ipc
-        self.ring_slots = int(ring_slots)
-        self.ring_slot_bytes = int(ring_slot_bytes)
-        if ipc == "ring":
-            from repro.runtime.ring import RingWait
-
-            self._ring_wait = ring_wait or RingWait()
-        else:
-            self._ring_wait = ring_wait
         self.reply_timeout = float(reply_timeout)
         self.poll_interval = float(poll_interval)
         self.drain_poll_interval = float(drain_poll_interval)
@@ -691,9 +608,6 @@ class ShardedEngine:
         self.pipe_window_bytes = int(pipe_window_bytes)
         self._chaos_reply_delay = chaos_reply_delay
         self._meter = _PipelineMeter(self.pipeline_depth)
-        # Soft in-flight byte cap for ring mode: half the ring, so a window's
-        # worth of requests can never wedge the producer for a whole frame.
-        self._ring_window_bytes = (self.ring_slots * self.ring_slot_bytes) // 2
         import multiprocessing as mp
 
         if start_method is None:
@@ -835,26 +749,10 @@ class ShardedEngine:
     def _spawn_shard(self, shard: _Shard) -> None:
         """Boot one worker process on the *current* model generation."""
         parent, child = self._ctx.Pipe(duplex=True)
-        ring_spec = None
-        if self.ipc == "ring":
-            from repro.runtime.ring import create_ring
-
-            shard.ingest_ring = create_ring(
-                self.ring_slots, self.ring_slot_bytes, wait=self._ring_wait
-            )
-            shard.emission_ring = create_ring(
-                self.ring_slots, self.ring_slot_bytes, wait=self._ring_wait
-            )
-            ring_spec = (
-                shard.ingest_ring.name,
-                shard.emission_ring.name,
-                self._ring_wait.to_dict(),
-            )
         proc = self._ctx.Process(
             target=_worker_serve_loop,
             args=(shard.id, child, self._model_spec, self._engine_kwargs,
-                  self._measure, ring_spec, self.reply_timeout,
-                  self._chaos_reply_delay),
+                  self._measure, self._chaos_reply_delay),
             name=f"{self.name}-w{shard.id}",
             daemon=True,
         )
@@ -865,16 +763,6 @@ class ShardedEngine:
         shard.alive = True
         shard.spec = self._model_spec
         shard.version = self._model_version
-
-    @staticmethod
-    def _unlink_rings(shard: _Shard) -> None:
-        """Release and unlink a shard's ring segments (idempotent)."""
-        for attr in ("ingest_ring", "emission_ring"):
-            ring = getattr(shard, attr)
-            if ring is not None:
-                ring.close()
-                ring.unlink()
-                setattr(shard, attr, None)
 
     def _shutdown_shard(self, shard: _Shard, ack_timeout: float) -> None:
         """Ask one worker to exit (tolerant of a dead pipe) and drop the conn."""
@@ -910,7 +798,6 @@ class ShardedEngine:
         """Gracefully stop one (drained) worker and reap its process."""
         self._shutdown_shard(shard, ack_timeout=5.0)
         self._reap_shard(shard)
-        self._unlink_rings(shard)
 
     def start(self) -> None:
         """Spawn the worker fleet (idempotent; implicit on first use)."""
@@ -1021,14 +908,8 @@ class ShardedEngine:
     #: per-frame accounting margin: connection length prefix + frame header
     _FRAME_MARGIN = 64
 
-    def _worker_alive(self, shard: _Shard):
-        proc = shard.process
-        return (lambda: proc.is_alive()) if proc is not None else None
-
     def _data_ready(self, shard: _Shard) -> bool:
         """True when a data-plane reply is already waiting (never blocks)."""
-        if shard.emission_ring is not None:
-            return shard.emission_ring.readable
         try:
             return shard.conn.poll(0)
         except (EOFError, OSError) as exc:
@@ -1059,50 +940,14 @@ class ShardedEngine:
         """Commit exactly one outstanding reply (blocks until it arrives)."""
         if ready is None:
             ready = self._data_ready(shard)
-        if shard.emission_ring is None:
-            op, meta, payload = self._recv(
-                shard, poll_interval=self.drain_poll_interval
-            )
-        else:
-            from repro.runtime.ring import RingError
-
-            try:
-                msg = shard.emission_ring.recv(
-                    timeout=self.reply_timeout, alive=self._worker_alive(shard)
-                )
-            except RingError as exc:
-                self._fail(shard, f"ring recv failed: {exc}")
-            op, meta = _HDR.unpack_from(msg)
-            payload = msg[_HDR.size :]
-            if op == REPLY_ERR:
-                self._fail(shard, payload.decode("utf-8", "replace"),
-                           opcode=meta)
+        op, meta, payload = self._recv(
+            shard, poll_interval=self.drain_poll_interval
+        )
         self._commit_reply(shard, op, meta, payload, ready)
 
     def _drain_ready(self, shard: _Shard) -> int:
         """Commit every reply already waiting; returns how many (no blocking)."""
         n = 0
-        if shard.emission_ring is not None:
-            from repro.runtime.ring import RingError
-
-            while shard.inflight and shard.emission_ring.readable:
-                try:
-                    frames = shard.emission_ring.recv_ready(
-                        max_frames=len(shard.inflight),
-                        timeout=self.reply_timeout,
-                        alive=self._worker_alive(shard),
-                    )
-                except RingError as exc:
-                    self._fail(shard, f"ring recv failed: {exc}")
-                for msg in frames:
-                    op, meta = _HDR.unpack_from(msg)
-                    payload = msg[_HDR.size :]
-                    if op == REPLY_ERR:
-                        self._fail(shard, payload.decode("utf-8", "replace"),
-                                   opcode=meta)
-                    self._commit_reply(shard, op, meta, payload, ready=True)
-                    n += 1
-            return n
         while shard.inflight and self._data_ready(shard):
             self._drain_one(shard, ready=True)
             n += 1
@@ -1112,11 +957,6 @@ class ShardedEngine:
         """Commit the whole outstanding window (credits return to depth)."""
         while shard.inflight:
             self._drain_one(shard)
-
-    def _window_bytes(self, shard: _Shard) -> int:
-        if shard.ingest_ring is None:
-            return self.pipe_window_bytes
-        return self._ring_window_bytes
 
     def _can_send_data(self, shard: _Shard, payload_len: int) -> bool:
         """Whether a data send of ``payload_len`` would go out without
@@ -1131,18 +971,16 @@ class ShardedEngine:
         if len(shard.inflight) >= self.pipeline_depth:
             return False
         cost = payload_len + self._FRAME_MARGIN
-        return shard.inflight_bytes + cost <= self._window_bytes(shard)
+        return shard.inflight_bytes + cost <= self.pipe_window_bytes
 
     def _send_data(self, shard: _Shard, op: int, deliver: bool,
                    payload: bytes = b"") -> None:
         """Ship one data-plane request under the credit window.
 
         Blocks (committing replies, oldest first) until a credit and byte
-        headroom are available. In pipe mode the byte window keeps every
-        outstanding request inside the kernel's socket buffer, so this send
-        can never block against a worker that is itself blocked writing a
-        reply; in ring mode the same mutual-fill deadlock is broken by
-        draining ready replies from inside the parked send (``progress``).
+        headroom are available. The byte window keeps every outstanding
+        request inside the kernel's socket buffer, so this send can never
+        block against a worker that is itself blocked writing a reply.
         """
         if not self._started:
             self.start()
@@ -1154,23 +992,10 @@ class ShardedEngine:
             self._drain_one(shard)
         seq = shard.data_seq
         body = _HDR.pack(op, (seq << 1) | (1 if deliver else 0)) + payload
-        if shard.ingest_ring is None:
-            try:
-                shard.conn.send_bytes(body)
-            except (BrokenPipeError, OSError) as exc:
-                self._fail(shard, f"pipe send failed: {exc!r}")
-        else:
-            from repro.runtime.ring import RingError
-
-            try:
-                shard.ingest_ring.send(
-                    body,
-                    timeout=self.reply_timeout,
-                    alive=self._worker_alive(shard),
-                    progress=lambda: self._drain_ready(shard),
-                )
-            except RingError as exc:
-                self._fail(shard, f"ring send failed: {exc}")
+        try:
+            shard.conn.send_bytes(body)
+        except (BrokenPipeError, OSError) as exc:
+            self._fail(shard, f"pipe send failed: {exc!r}")
         shard.data_seq = seq + 1
         shard.inflight.append((seq, cost))
         shard.inflight_bytes += cost
@@ -1180,62 +1005,31 @@ class ShardedEngine:
                          timeout: float | None = None) -> None:
         """Select-style park until *some* listed shard has a reply ready.
 
-        Pipe mode waits on all the worker connections at once
-        (``multiprocessing.connection.wait``); ring mode sweeps the emission
-        rings' published-slot words with the ring's own spin-then-sleep
-        policy. Either way a dead worker is probed every lap and surfaces as
-        a named :class:`ShardFailure`, never a hang.
+        Waits on all the worker connections at once
+        (``multiprocessing.connection.wait``); a dead worker is probed every
+        lap and surfaces as a named :class:`ShardFailure`, never a hang.
         """
-        deadline = time.monotonic() + (timeout or self.reply_timeout)
-        if all(s.emission_ring is None for s in shards):
-            from multiprocessing.connection import wait as conn_wait
+        from multiprocessing.connection import wait as conn_wait
 
-            while True:
-                try:
-                    if conn_wait([s.conn for s in shards],
-                                 self.drain_poll_interval):
-                        return
-                except (EOFError, OSError):
-                    pass  # fall through to the per-shard death probe
-                for s in shards:
-                    if s.process is not None and not s.process.is_alive():
-                        if not self._data_ready(s):
-                            self._fail(
-                                s,
-                                "worker process died "
-                                f"(exit code {s.process.exitcode})",
-                            )
-                        return
-                if time.monotonic() > deadline:
-                    self._fail(
-                        shards[0], f"no reply within {timeout or self.reply_timeout}s"
-                    )
-        else:
-            spin = self._ring_wait.spin if self._ring_wait is not None else 0
-            nap = (
-                self._ring_wait.sleep_s if self._ring_wait is not None else 100e-6
-            )
-            while True:
-                for s in shards:
-                    if s.emission_ring.readable:
-                        return
-                if spin > 0:
-                    spin -= 1
-                    continue
-                for s in shards:
-                    if s.process is not None and not s.process.is_alive():
-                        if not s.emission_ring.readable:
-                            self._fail(
-                                s,
-                                "worker process died "
-                                f"(exit code {s.process.exitcode})",
-                            )
-                        return
-                if time.monotonic() > deadline:
-                    self._fail(
-                        shards[0], f"no reply within {timeout or self.reply_timeout}s"
-                    )
-                time.sleep(nap)
+        deadline = time.monotonic() + (timeout or self.reply_timeout)
+        while True:
+            try:
+                if conn_wait([s.conn for s in shards], self.drain_poll_interval):
+                    return
+            except (EOFError, OSError):
+                pass  # fall through to the per-shard death probe
+            for s in shards:
+                if s.process is not None and not s.process.is_alive():
+                    if not self._data_ready(s):
+                        self._fail(
+                            s,
+                            f"worker process died (exit code {s.process.exitcode})",
+                        )
+                    return
+            if time.monotonic() > deadline:
+                self._fail(
+                    shards[0], f"no reply within {timeout or self.reply_timeout}s"
+                )
 
     # ----------------------------------------------------------------- serving
     def _route(self, shard: _Shard, payload: bytes) -> int:
@@ -1669,7 +1463,6 @@ class ShardedEngine:
             "streams": self.n_streams,
             "batch_size": self.batch_size,
             "max_wait": self.max_wait,
-            "ipc": self.ipc,
             "model_copies": 1 if self._model_spec[0] == "shm" else self.workers,
             "shm_bytes": self.shm_bytes,
             "model_version": self._model_version,
@@ -1915,7 +1708,6 @@ class ShardedEngine:
             self._shutdown_shard(shard, ack_timeout=1.0)
         for shard in self._shards:
             self._reap_shard(shard)
-            self._unlink_rings(shard)
         for pub in self._publications:
             try:
                 pub.close()

@@ -55,17 +55,15 @@ def pipeline_oracle(dart, pipeline_traces):
     return [dart.prefetch_lists(t) for t in pipeline_traces]
 
 
-@pytest.mark.parametrize("ipc", ["pipe", "ring"])
 @pytest.mark.parametrize("depth", [1, 2, 8])
 def test_chaos_fuzz_exactly_once_ascending(
-    dart, pipeline_traces, pipeline_oracle, depth, ipc
+    dart, pipeline_traces, pipeline_oracle, depth
 ):
     """Seeded reply-delay fuzz: slow, jittery workers never reorder,
-    drop, or duplicate an emission at any window depth, on either
-    transport."""
+    drop, or duplicate an emission at any window depth."""
     seen = [[] for _ in pipeline_traces]
     with dart.sharded(
-        workers=2, io_chunk=8, ipc=ipc, pipeline_depth=depth,
+        workers=2, io_chunk=8, pipeline_depth=depth,
         chaos_reply_delay=(0.001, 1234 + depth),
     ) as eng:
         handles = [eng.open_stream(f"t{i}") for i in range(len(pipeline_traces))]

@@ -30,9 +30,7 @@ ENGINES = [
     "microbatcher",
     "multistream",
     "sharded",
-    "sharded-ring",
     "sharded-pipelined",
-    "sharded-pipelined-ring",
     "elastic-rescale",
     "elastic-migrate",
     # Record a live session, replay the trace on a fresh engine under the
@@ -129,15 +127,12 @@ def test_engine_matches_batch_oracle(
         for s, trace in enumerate(conformance_traces):
             assert got[0][s] == oracles[kind][s], f"stream {s} diverged"
     elif engine.startswith("sharded"):
-        ipc = "ring" if engine.endswith("-ring") else "pipe"
         depth = 4 if "pipelined" in engine else 1
         with pf.sharded(
-            workers=2, batch_size=batch_size, ipc=ipc, pipeline_depth=depth
+            workers=2, batch_size=batch_size, pipeline_depth=depth
         ) as eng:
             _, per_stream, lists = eng.serve(conformance_traces, collect=True)
-            stats = eng.stats()
-            assert stats["ipc"] == ipc
-            assert stats["pipeline"]["depth"] == depth
+            assert eng.stats()["pipeline"]["depth"] == depth
         for s in range(2):
             assert lists[s] == oracles[kind][s], f"stream {s} diverged"
             assert per_stream[s].accesses == len(conformance_traces[s])

@@ -297,18 +297,17 @@ def test_shard_failure_names_the_opcode_in_flight():
     assert "during" not in str(ShardFailure(0, [], [], "x"))
 
 
-@pytest.mark.parametrize("ipc", ["pipe", "ring"])
 @pytest.mark.parametrize("depth", [1, 3])
-def test_worker_error_audit_on_both_transports(dart, eight_traces, ipc, depth):
+def test_worker_error_audit_names_opcode(dart, eight_traces, depth):
     """A worker-side exception (not a death) must surface as a ShardFailure
     naming the shard, the opcode in flight, and the affected streams — with
-    the worker's traceback attached — on both transports and with a
-    pipelined data plane. Regression: the error reply used to ship meta=0,
+    the worker's traceback attached — in lockstep and with a pipelined data
+    plane. Regression: the error reply used to ship meta=0,
     so the audit trail lost the operation that failed."""
     from repro.runtime.sharded import OP_ACCESS
 
     engine = dart.sharded(
-        workers=2, batch_size=32, io_chunk=16, ipc=ipc, pipeline_depth=depth
+        workers=2, batch_size=32, io_chunk=16, pipeline_depth=depth
     )
     try:
         handles = engine.streams(4)
