@@ -850,14 +850,10 @@ def _cmd_multicore(args) -> int:
 
 def _cmd_contend(args) -> int:
     import json
+    from dataclasses import replace
 
     from repro.runtime import AdmissionController, ThrottleConfig, as_streaming
-    from repro.sim import (
-        ContentionConfig,
-        LevelConfig,
-        PoisonedStream,
-        simulate_contention,
-    )
+    from repro.sim import ContentionConfig, PoisonedStream, simulate_contention
     from repro.traces import make_workload
 
     traces = [
@@ -865,9 +861,10 @@ def _cmd_contend(args) -> int:
         for i, w in enumerate(args.workloads)
     ]
     policy = args.replacement or "plru"
+    default = ContentionConfig()
     cfg = ContentionConfig(
-        l1=LevelConfig(16 * 1024, 4, 4.0, policy=policy),
-        l2=LevelConfig(256 * 1024, 8, 12.0, policy=policy),
+        l1=replace(default.l1, policy=policy),
+        l2=replace(default.l2, policy=policy),
         slots_per_cycle=args.slots,
         prefetch_level=args.prefetch_level,
     )

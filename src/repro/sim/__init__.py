@@ -1,20 +1,19 @@
 """ChampSim-like trace-driven simulation (paper Sec. VII-A1).
 
-Two simulators share one timing model (retire width, ROB run-ahead,
+The simulators share one timing model (retire width, ROB run-ahead,
 MSHR-bounded memory parallelism, prefetch timeliness):
 
 * :func:`simulate` — the fast LLC-only simulator used by the paper's
   experiments (Figs. 12–14): set-associative LRU LLC + flat DRAM latency.
-* :func:`simulate_hierarchy` — the detailed variant: L1D/L2/LLC with
-  pluggable replacement, write-back traffic, banked open-page DRAM
+* :func:`simulate_hierarchy` — the detailed single-core variant: L1D/L2/LLC
+  with pluggable replacement, write-back traffic, banked open-page DRAM
   (:class:`DRAMModel`), virtual→physical paging and an optional TLB.
-* :func:`simulate_multicore` — N cores with private L1/L2 sharing one LLC
-  and DRAM (Table III's 4-core system).
-* :func:`simulate_contention` — N *tenant streams* with private PLRU L1s
-  contending for one shared L2 through a bandwidth-limited interconnect,
-  with per-tenant prefetch tagging and attributable pollution — the world
-  the admission throttle (:mod:`repro.runtime.throttle`) closes the loop
-  against.
+* one multi-core event loop (private levels per core over one shared level
+  and DRAM) behind two adapters: :func:`simulate_multicore` (Table III's
+  4-core system: private L1D/L2, shared LLC, batch prefetch lists) and
+  :func:`simulate_contention` (online tenant streams, private L1s, one shared
+  L2 behind a slot interconnect, attributable pollution for the admission
+  throttle in :mod:`repro.runtime.throttle`).
 
 Prefetch timeliness is the paper's central quantity: a prefetch issues
 ``latency_cycles`` after its trigger access, so slow predictors produce late

@@ -16,12 +16,12 @@ coupling is visible and attributable:
   MSHR pool are shared.
 
 Tenants run in disjoint block-address spaces (:data:`TENANT_ADDRESS_STRIDE`
-apart, exactly like :mod:`repro.sim.multicore`'s cores), so the owner of
-any resident line is ``block // TENANT_ADDRESS_STRIDE`` — which makes
-pollution *attributable*: when tenant A's prefetch fill evicts tenant B's
-line from the shared L2, the (A, B) cell of the pollution matrix ticks, and
-the live/dead split records whether the victim was a line B was actually
-using (a demand line or an already-used prefetch) or dead weight.
+apart), so the owner of any resident line is
+``block // TENANT_ADDRESS_STRIDE`` — which makes pollution *attributable*:
+when tenant A's prefetch fill evicts tenant B's line from the shared L2, the
+(A, B) cell of the pollution matrix ticks, and the live/dead split records
+whether the victim was a line B was actually using (a demand line or an
+already-used prefetch) or dead weight.
 
 Prefetchers are **streaming tenants** (:class:`~repro.runtime.streaming.
 StreamingPrefetcher` — engine handles, adapters, throttled wrappers), fed
@@ -35,6 +35,13 @@ owner's L1 when set to ``"l1"``), tagged by owner.
 it preserves its inner stream's cadence and seq numbering (the exactly-once
 contract still holds) but replaces every predicted block with deterministic
 garbage — accuracy 0, maximal pollution.
+
+The event loop (:func:`_simulate`) is the repo's one multi-core loop: a
+tuple of private levels per tenant above one shared level, an optional
+link, and where prefetchers are fed are its parameters.
+:func:`simulate_contention` runs it as ``(l1,)`` over the shared L2 behind
+the slot link; :func:`~repro.sim.multicore.simulate_multicore` runs it as
+``(l1d, l2)`` over a shared LLC with no link, replaying batch lists.
 """
 
 from __future__ import annotations
@@ -45,12 +52,11 @@ from dataclasses import dataclass, field
 
 from repro.runtime.streaming import Emission, StreamingPrefetcher
 from repro.sim.dram import DRAMConfig, DRAMModel
-from repro.sim.hierarchy import LevelConfig, LevelStats
+from repro.sim.hierarchy import HierarchyConfig, LevelConfig, LevelStats
 from repro.sim.metrics import SimResult
 from repro.traces.trace import MemoryTrace
 
-#: per-tenant block-address offset (1 TiB apart — same idiom as
-#: :data:`repro.sim.multicore.CORE_ADDRESS_STRIDE`); the line owner is
+#: per-tenant block-address offset (1 TiB apart); the line owner is
 #: recoverable from any resident block address by integer division.
 TENANT_ADDRESS_STRIDE = 1 << 34
 
@@ -251,18 +257,24 @@ class ContentionResult:
 
 
 class _Tenant:
-    """One tenant's private state: trace cursor, L1, timing clocks."""
+    """One tenant's (or core's) private state: trace cursor, caches, clocks."""
 
-    def __init__(self, idx: int, trace: MemoryTrace, cfg: ContentionConfig):
+    def __init__(
+        self,
+        idx: int,
+        trace: MemoryTrace,
+        private: tuple[LevelConfig, ...],
+        n_tenants: int,
+        collect: bool,
+    ):
         self.idx = idx
         self.trace = trace
         self.blocks = trace.block_addrs + idx * TENANT_ADDRESS_STRIDE
         self.instr_ids = trace.instr_ids
-        self.pcs = trace.pcs
-        self.addrs = trace.addrs
-        self.l1 = cfg.l1.make()
-        self.l1_stats = LevelStats(f"tenant{idx}/L1")
-        self.l2_stats = LevelStats(f"tenant{idx}/L2-demand")
+        self.caches = [level.make() for level in private]
+        self.stats = [LevelStats(f"tenant{idx}/L{j + 1}") for j in range(len(private))]
+        #: this tenant's demand traffic into the shared level
+        self.shared_stats = LevelStats(f"tenant{idx}/L{len(private) + 1}-demand")
         self.pos = 0
         self.fetch = 0.0
         self.retire = 0.0
@@ -273,9 +285,207 @@ class _Tenant:
         self.issued = 0
         self.useful = 0
         self.redundant = 0
+        #: this tenant's row of the pollution matrices (see ContentionResult)
+        self.pollution = [0] * n_tenants
+        self.pollution_live = [0] * n_tenants
+        self.lists = [[] for _ in range(len(self.blocks))] if collect else None
 
-    def done(self) -> bool:
-        return self.pos >= len(self.blocks)
+    def sim_result(self, label: str, demand_hits: int) -> SimResult:
+        return SimResult(
+            name=f"{label}{self.idx}:{self.trace.name or 'trace'}",
+            instructions=int(self.instr_ids[-1]) if len(self.instr_ids) else 0,
+            cycles=self.retire,
+            demand_accesses=len(self.blocks),
+            demand_hits=demand_hits,
+            demand_misses=self.shared_stats.misses,
+            late_prefetch_hits=self.late_hits,
+            prefetches_issued=self.issued,
+            prefetches_useful=self.useful,
+            prefetch_hits=self.useful,
+        )
+
+
+def _simulate(
+    traces: list[MemoryTrace],
+    streams: list[StreamingPrefetcher | None],
+    cfg: ContentionConfig | HierarchyConfig,
+    private: tuple[LevelConfig, ...],
+    shared: LevelConfig,
+    link: Interconnect | None = None,
+    link_latency: float = 0.0,
+    prefetch_to_l1: bool = False,
+    feed_at_shared: bool = False,
+    collect: bool = False,
+) -> tuple[list[_Tenant], LevelStats, DRAMModel]:
+    """Run ``private`` levels per tenant above one ``shared`` level.
+
+    ``cfg`` supplies ``dram``, ``width``, ``rob`` and ``mshr``. Without a
+    ``link`` a request reaches the shared level the cycle it leaves the
+    private ones. Streams ingest every access before the prefetch drain or,
+    with ``feed_at_shared``, only shared-level accesses after their lookup.
+    """
+    n = len(traces)
+    if n == 0:
+        raise ValueError("need at least one trace")
+    if len(streams) != n:
+        raise ValueError("need one stream slot per tenant")
+    llc = shared.make()
+    dram = DRAMModel(cfg.dram)
+    tenants = [_Tenant(i, t, private, n, collect) for i, t in enumerate(traces)]
+
+    width = float(cfg.width)
+    rob = int(cfg.rob)
+    mshr = int(cfg.mshr)
+    private_lats = [level.latency for level in private]
+
+    missq: deque[float] = deque()  # shared MSHR pool
+    # heap of (visible_time, seq, offset_block, owner tenant)
+    pfq: list[tuple[float, int, int, int]] = []
+    pf_seq = 0
+
+    def drain_prefetches(now: float) -> None:
+        while pfq and pfq[0][0] <= now:
+            t_vis, _, blk, owner = heapq.heappop(pfq)
+            if llc.peek(blk) is not None:
+                tenants[owner].redundant += 1
+                continue
+            granted = t_vis if link is None else link.grant(t_vis, owner, prefetch=True)
+            while missq and missq[0] <= granted:
+                missq.popleft()
+            if len(missq) >= mshr:
+                continue  # fabric saturated: the speculative fill is dropped
+            ready = dram.access(blk, granted + link_latency)
+            missq.append(ready)
+            t = tenants[owner]
+            victim = llc.fill(blk, prefetched=True, ready_cycle=ready)
+            if victim is not None and (v := tenant_of(victim.block)) != owner:
+                t.pollution[v] += 1
+                if not victim.prefetched or victim.used:
+                    # A demand line, or a prefetch the victim tenant already
+                    # used: live state another tenant's speculation destroyed.
+                    t.pollution_live[v] += 1
+            if prefetch_to_l1:
+                t.caches[0].fill(blk, prefetched=True, ready_cycle=ready)
+            t.issued += 1
+
+    def feed(t: _Tenant, i: int, now: float) -> None:
+        """Ingest access ``i`` into ``t``'s stream; queue what it emits."""
+        nonlocal pf_seq
+        stream = streams[t.idx]
+        vis = now + float(getattr(stream, "latency_cycles", 0.0))
+        offset = t.idx * TENANT_ADDRESS_STRIDE
+        for em in stream.ingest(int(t.trace.pcs[i]), int(t.trace.addrs[i])):
+            if t.lists is not None:
+                t.lists[em.seq] = list(em.blocks)
+            for blk in em.blocks:
+                heapq.heappush(pfq, (vis, pf_seq, blk + offset, t.idx))
+                pf_seq += 1
+
+    def path_latency(start: float, now: float) -> float:
+        # Left-to-right sums: another association can round differently,
+        # and the goldens pin cycles exactly.
+        lat = start - now
+        for level_lat in private_lats:
+            lat += level_lat
+        return lat + shared.latency
+
+    # Event loop: always advance the tenant with the smallest current time.
+    heap = [(0.0, t.idx) for t in tenants if len(t.blocks)]
+    while heap:
+        _, ti = heapq.heappop(heap)
+        t = tenants[ti]
+        i = t.pos
+        t.pos += 1
+        instr_i = int(t.instr_ids[i])
+        gap = (instr_i - t.prev_instr) / width
+        t.prev_instr = instr_i
+        t.fetch += gap
+        while t.robq and t.robq[0][0] <= instr_i - rob:
+            r = t.robq.popleft()[1]
+            if r > t.rob_floor:
+                t.rob_floor = r
+        if t.fetch < t.rob_floor:
+            t.fetch = t.rob_floor
+        now = t.fetch
+
+        if not feed_at_shared and streams[ti] is not None:
+            feed(t, i, now)
+        drain_prefetches(now)
+
+        block = int(t.blocks[i])
+        lat = 0.0
+        for j, cache in enumerate(t.caches):
+            lat += private_lats[j]
+            line = cache.lookup(block)
+            if line is None:
+                continue
+            t.stats[j].hits += 1
+            if line.ready_cycle > now:  # in-flight prefetch: wait it out
+                lat += line.ready_cycle - now
+                t.late_hits += 1
+            if line.prefetched and not line.used:
+                line.used = True
+                t.useful += 1
+            for upper in t.caches[:j]:
+                upper.fill(block)
+            break
+        else:
+            granted = now if link is None else link.grant(now, ti, prefetch=False)
+            arrive = granted + link_latency
+            line = llc.lookup(block)
+            if line is not None:
+                t.shared_stats.hits += 1
+                lat = path_latency(arrive, now)
+                if line.ready_cycle > arrive:  # late prefetch: wait for the fill
+                    t.late_hits += 1
+                    # Same sum either way; each world keeps the rounding its goldens pin.
+                    wait = line.ready_cycle - arrive
+                    lat = path_latency(line.ready_cycle, now) if link is None else lat + wait
+                if line.prefetched and not line.used:
+                    line.used = True
+                    tenants[tenant_of(block)].useful += 1
+            else:
+                while missq and missq[0] <= arrive:
+                    missq.popleft()
+                issue_t = arrive
+                if len(missq) >= mshr:
+                    issue_t = missq.popleft()
+                ready = dram.access(block, issue_t)
+                missq.append(ready)
+                lat = path_latency(ready, now)
+                # Demand fills evict too, but that is ordinary capacity
+                # contention — the pollution matrix tracks only evictions a
+                # *prefetch* caused, so blame lands on speculation alone.
+                llc.fill(block, ready_cycle=ready)
+            for cache in t.caches:
+                cache.fill(block)
+            if feed_at_shared and streams[ti] is not None:
+                feed(t, i, now)
+
+        ready_time = now + lat
+        step = gap if gap > 0.25 else 0.25
+        t.retire = max(t.retire + step, ready_time)
+        t.robq.append((instr_i, t.retire))
+        if t.pos < len(t.blocks):
+            heapq.heappush(heap, (t.fetch, ti))
+
+    # Tail flush: contract hygiene (and lists completeness) — emissions
+    # delivered after the last access cannot affect timing, but the
+    # exactly-once invariant and the oracle-shape comparison need them.
+    shared_stats = LevelStats(f"L{len(private) + 1}-shared")
+    for t, stream in zip(tenants, streams):
+        for em in stream.flush() if stream is not None else ():
+            if t.lists is not None:
+                t.lists[em.seq] = list(em.blocks)
+        # The loop counts hits only: each level sees the misses of the one above.
+        accesses = len(t.blocks)
+        for st in (*t.stats, t.shared_stats):
+            st.accesses, st.misses = accesses, accesses - st.hits
+            accesses = st.misses
+        shared_stats.accesses += t.shared_stats.accesses
+        shared_stats.hits += t.shared_stats.hits
+        shared_stats.misses += t.shared_stats.misses
+    return tenants, shared_stats, dram
 
 
 def simulate_contention(
@@ -299,171 +509,12 @@ def simulate_contention(
     zero-overhead throttling gate compares against batch answers.
     """
     cfg = config or ContentionConfig()
-    n = len(traces)
-    if n == 0:
-        raise ValueError("need at least one trace")
-    if streams is None:
-        streams = [None] * n
-    if len(streams) != n:
-        raise ValueError("need one stream slot per tenant")
-
-    l2 = cfg.l2.make()
-    dram = DRAMModel(cfg.dram)
-    l2_stats = LevelStats("L2-shared")
-    ic = Interconnect(cfg.slots_per_cycle, n)
-    tenants = [_Tenant(i, t, cfg) for i, t in enumerate(traces)]
-    pollution = [[0] * n for _ in range(n)]
-    pollution_live = [[0] * n for _ in range(n)]
-    lists: list[list[list[int]]] | None = (
-        [[[] for _ in range(len(t.blocks))] for t in tenants] if collect else None
+    streams = [None] * len(traces) if streams is None else streams
+    ic = Interconnect(cfg.slots_per_cycle, len(traces))
+    tenants, l2_stats, dram = _simulate(
+        traces, streams, cfg, (cfg.l1,), cfg.l2, link=ic, link_latency=cfg.link_latency,
+        prefetch_to_l1=cfg.prefetch_level == "l1", collect=collect,
     )
-
-    width = float(cfg.width)
-    rob = int(cfg.rob)
-    mshr = int(cfg.mshr)
-    l1_lat, l2_lat = cfg.l1.latency, cfg.l2.latency
-    to_l1 = cfg.prefetch_level == "l1"
-
-    missq: deque[float] = deque()  # shared MSHR pool
-    # heap of (visible_time, seq, offset_block, owner tenant)
-    pfq: list[tuple[float, int, int, int]] = []
-    pf_seq = 0
-
-    def account_eviction(owner: int, victim) -> None:
-        v_owner = tenant_of(victim.block)
-        if v_owner == owner:
-            return
-        pollution[owner][v_owner] += 1
-        if not victim.prefetched or victim.used:
-            # A demand line, or a prefetch the victim tenant already used:
-            # live state another tenant's speculation destroyed.
-            pollution_live[owner][v_owner] += 1
-
-    def drain_prefetches(now: float) -> None:
-        while pfq and pfq[0][0] <= now:
-            t_vis, _, blk, owner = heapq.heappop(pfq)
-            if l2.peek(blk) is not None:
-                tenants[owner].redundant += 1
-                continue
-            granted = ic.grant(t_vis, owner, prefetch=True)
-            while missq and missq[0] <= granted:
-                missq.popleft()
-            if len(missq) >= mshr:
-                continue  # fabric saturated: the speculative fill is dropped
-            ready = dram.access(blk, granted + cfg.link_latency)
-            missq.append(ready)
-            victim = l2.fill(blk, prefetched=True, ready_cycle=ready)
-            if victim is not None:
-                account_eviction(owner, victim)
-            if to_l1:
-                tenants[owner].l1.fill(blk, prefetched=True, ready_cycle=ready)
-            tenants[owner].issued += 1
-
-    def deliver(t: _Tenant, emissions: list[Emission], now: float) -> None:
-        nonlocal pf_seq
-        stream = streams[t.idx]
-        vis = now + float(getattr(stream, "latency_cycles", 0.0))
-        for em in emissions:
-            if lists is not None:
-                lists[t.idx][em.seq] = list(em.blocks)
-            for blk in em.blocks:
-                heapq.heappush(
-                    pfq,
-                    (vis, pf_seq, blk + t.idx * TENANT_ADDRESS_STRIDE, t.idx),
-                )
-                pf_seq += 1
-
-    # Event loop: always advance the tenant with the smallest current time.
-    heap: list[tuple[float, int]] = [(0.0, i) for i in range(n)]
-    heapq.heapify(heap)
-
-    while heap:
-        _, ti = heapq.heappop(heap)
-        t = tenants[ti]
-        if t.done():
-            continue
-        i = t.pos
-        t.pos += 1
-        instr_i = int(t.instr_ids[i])
-        gap = (instr_i - t.prev_instr) / width
-        t.prev_instr = instr_i
-        t.fetch += gap
-        while t.robq and t.robq[0][0] <= instr_i - rob:
-            r = t.robq.popleft()[1]
-            if r > t.rob_floor:
-                t.rob_floor = r
-        if t.fetch < t.rob_floor:
-            t.fetch = t.rob_floor
-        now = t.fetch
-
-        stream = streams[ti]
-        if stream is not None:
-            deliver(t, stream.ingest(int(t.pcs[i]), int(t.addrs[i])), now)
-        drain_prefetches(now)
-
-        block = int(t.blocks[i])
-        t.l1_stats.accesses += 1
-        line1 = t.l1.lookup(block)
-        if line1 is not None:
-            t.l1_stats.hits += 1
-            lat = l1_lat
-            if line1.ready_cycle > now:  # in-flight L1 prefetch: wait it out
-                lat += line1.ready_cycle - now
-                t.late_hits += 1
-            if line1.prefetched and not line1.used:
-                line1.used = True
-                t.useful += 1
-        else:
-            t.l1_stats.misses += 1
-            granted = ic.grant(now, ti, prefetch=False)
-            arrive = granted + cfg.link_latency
-            t.l2_stats.accesses += 1
-            l2_stats.accesses += 1
-            line2 = l2.lookup(block)
-            if line2 is not None:
-                t.l2_stats.hits += 1
-                l2_stats.hits += 1
-                lat = (arrive - now) + l1_lat + l2_lat
-                if line2.ready_cycle > arrive:
-                    lat += line2.ready_cycle - arrive
-                    t.late_hits += 1
-                if line2.prefetched and not line2.used:
-                    line2.used = True
-                    tenants[tenant_of(block)].useful += 1
-            else:
-                t.l2_stats.misses += 1
-                l2_stats.misses += 1
-                while missq and missq[0] <= arrive:
-                    missq.popleft()
-                issue_t = arrive
-                if len(missq) >= mshr:
-                    issue_t = missq.popleft()
-                ready = dram.access(block, issue_t)
-                missq.append(ready)
-                lat = (ready - now) + l1_lat + l2_lat
-                # Demand fills evict too, but that is ordinary capacity
-                # contention — the pollution matrix tracks only evictions a
-                # *prefetch* caused, so blame lands on speculation alone.
-                l2.fill(block, ready_cycle=ready)
-            t.l1.fill(block)
-
-        ready_time = now + lat
-        step = gap if gap > 0.25 else 0.25
-        t.retire = max(t.retire + step, ready_time)
-        t.robq.append((instr_i, t.retire))
-        if not t.done():
-            heapq.heappush(heap, (t.fetch, ti))
-
-    # Tail flush: contract hygiene (and lists completeness) — emissions
-    # delivered after the last access cannot affect timing, but the
-    # exactly-once invariant and the oracle-shape comparison need them.
-    for t in tenants:
-        stream = streams[t.idx]
-        if stream is None:
-            continue
-        for em in stream.flush():
-            if lists is not None:
-                lists[t.idx][em.seq] = list(em.blocks)
 
     throttle_summaries: dict = {}
     for idx, stream in enumerate(streams):
@@ -475,20 +526,9 @@ def simulate_contention(
 
     results = [
         TenantResult(
-            sim=SimResult(
-                name=f"tenant{t.idx}:{t.trace.name or 'trace'}",
-                instructions=int(t.instr_ids[-1]) if len(t.instr_ids) else 0,
-                cycles=t.retire,
-                demand_accesses=len(t.blocks),
-                demand_hits=t.l1_stats.hits + t.l2_stats.hits,
-                demand_misses=t.l2_stats.misses,
-                late_prefetch_hits=t.late_hits,
-                prefetches_issued=t.issued,
-                prefetches_useful=t.useful,
-                prefetch_hits=t.useful,
-            ),
-            l1=t.l1_stats,
-            l2=t.l2_stats,
+            sim=t.sim_result("tenant", t.stats[0].hits + t.shared_stats.hits),
+            l1=t.stats[0],
+            l2=t.shared_stats,
             redundant_prefetches=t.redundant,
         )
         for t in tenants
@@ -498,8 +538,8 @@ def simulate_contention(
         l2=l2_stats,
         dram=dram.stats.as_dict(),
         interconnect=ic.stats(),
-        pollution=pollution,
-        pollution_live=pollution_live,
+        pollution=[t.pollution for t in tenants],
+        pollution_live=[t.pollution_live for t in tenants],
         throttle=throttle_summaries,
-        lists=lists,
+        lists=[t.lists for t in tenants] if collect else None,
     )

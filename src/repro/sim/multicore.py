@@ -1,49 +1,40 @@
-"""Multi-core simulation: private L1/L2 per core, shared LLC + DRAM.
+"""Multi-core simulation: private L1D/L2 per core, shared LLC + DRAM.
 
-Table III simulates a 4-core system. Prefetcher papers (this one included)
-report single-core numbers per workload, but the *shared* LLC and DRAM are
-where prefetching interacts across cores: one core's aggressive prefetcher
-evicts another core's working set and steals DRAM bus slots. This module
-models exactly that interaction so the multi-programmed ablation in
-``bench_ablations``/examples can quantify it.
+Table III simulates a 4-core system. The shared LLC and DRAM are where
+prefetching interacts across cores: one core's aggressive prefetcher evicts
+another core's working set and steals DRAM bus slots, which the
+multi-programmed runs (``bench_hierarchy``, examples) quantify.
 
-Model: each core runs its own trace with the same two-clock ROB-bounded
-timing as the single-core simulator and its own private L1D/L2 filter
-(untimed, replacement only). Cores interleave on a global event loop ordered
-by core time. The LLC is a single shared :class:`PolicyCache` (block
-addresses are offset per core so multi-programmed copies of one workload do
-not alias — ChampSim's separate address spaces), DRAM is one shared
-:class:`DRAMModel`, and MSHRs are shared.
+This is the contention world's event loop (:mod:`repro.sim.contention`)
+configured as the Table III hierarchy: private levels ``(l1d, l2)`` per core
+above one shared LLC built from ``config.llc``, shared DRAM and MSHRs, and no
+interconnect. Cores run in disjoint address spaces (:data:`CORE_ADDRESS_STRIDE`
+apart, like ChampSim's).
 
-Prefetchers are per-core (one instance per core, each seeing only its own
-core's LLC-level stream), matching an LLC prefetcher with per-core state.
-Learned prefetchers can instead be **shared**: pass ``shared_prefetcher`` and
-one table/NN model serves every core through a
-:class:`~repro.runtime.multistream.MultiStreamEngine` — per-core feature
-state stays private (each core is a tenant stream), but all cores' queries
-coalesce into shared predict batches and the model is stored once instead of
-N times. Per-core prefetch decisions are bit-identical either way (pinned by
-tests); the engine's coalescing counters are reported in
-:attr:`MulticoreResult.predictor`.
+Prefetchers sit at the LLC, one per core. Prefetches fill the LLC only, so
+each core's LLC stream is known up front (:func:`extract_llc_stream`) and its
+lists are computed in one batch: per core, or — with ``shared_prefetcher`` —
+by one model serving every core as tenant streams of a
+:class:`~repro.runtime.multistream.MultiStreamEngine` (coalesced predict
+batches, one model copy, per-core lists bit-identical to private copies; the
+engine's counters land in :attr:`MulticoreResult.predictor`). The lists are
+replayed into the loop as each core's LLC accesses happen.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass, field, replace
 
 from repro.prefetch.base import Prefetcher
-from repro.sim.dram import DRAMModel
+from repro.runtime.multistream import serve_interleaved
+from repro.runtime.streaming import Emission, StreamingPrefetcher
+from repro.sim.contention import TENANT_ADDRESS_STRIDE, _simulate
 from repro.sim.hierarchy import HierarchyConfig, LevelStats, extract_llc_stream
 from repro.sim.metrics import SimResult
-from repro.sim.policy_cache import PolicyCache
 from repro.traces.trace import MemoryTrace
 
 #: per-core address-space offset in blocks (1 TiB apart: no aliasing)
-CORE_ADDRESS_STRIDE = 1 << 34
+CORE_ADDRESS_STRIDE = TENANT_ADDRESS_STRIDE
 
 
 @dataclass
@@ -82,41 +73,32 @@ class MulticoreResult:
         return out
 
 
-class _Core:
-    """One core's private state: trace cursor, L1/L2 filters, timing clocks."""
+class _ListReplay(StreamingPrefetcher):
+    """One core's batch lists, replayed over its LLC accesses: the k-th
+    ingest must be the k-th access of the precomputed LLC stream."""
 
-    def __init__(self, idx: int, trace: MemoryTrace, cfg: HierarchyConfig):
-        self.idx = idx
-        self.trace = trace
-        self.blocks = trace.block_addrs + idx * CORE_ADDRESS_STRIDE
-        self.instr_ids = trace.instr_ids
-        self.l1 = cfg.l1d.make()
-        self.l2 = cfg.l2.make()
-        self.pos = 0
-        self.fetch = 0.0
-        self.retire = 0.0
-        self.rob_floor = 0.0
-        self.prev_instr = 0
-        self.robq: deque[tuple[int, float]] = deque()
-        self.hits = 0
-        self.misses = 0
-        self.late_hits = 0
-        self.issued = 0
-        self.useful = 0
-        self.llc_cursor = 0
-        self.pf_lists: list[list[int]] | None = None
-        self.llc_indices: np.ndarray | None = None
-        self.pred_latency = 0.0
+    def __init__(self, trace: MemoryTrace, cfg: HierarchyConfig, latency_cycles):
+        idxs = extract_llc_stream(trace, cfg)
+        self.llc_trace = MemoryTrace(
+            trace.instr_ids[idxs], trace.pcs[idxs], trace.addrs[idxs], trace.name
+        )
+        self.addrs = self.llc_trace.addrs.tolist()
+        self.latency_cycles = float(latency_cycles)
+        self.lists: list[list[int]] = []  # filled by the batch pass
+        self.seq = 0
 
-    def done(self) -> bool:
-        return self.pos >= len(self.blocks)
+    def ingest(self, pc: int, addr: int) -> list[Emission]:
+        k = self.seq
+        if k >= len(self.addrs) or self.addrs[k] != addr:
+            raise RuntimeError(f"LLC access {k} is not the precomputed LLC stream's")
+        self.seq = k + 1
+        return [Emission(k, self.lists[k])]
 
 
 def simulate_multicore(
     traces: list[MemoryTrace],
     prefetchers: list[Prefetcher | None] | None = None,
     config: HierarchyConfig | None = None,
-    llc_policy: str = "lru",
     shared_prefetcher: Prefetcher | None = None,
     shared_stream_kwargs: dict | None = None,
 ) -> MulticoreResult:
@@ -125,17 +107,11 @@ def simulate_multicore(
     ``prefetchers[i]`` serves core ``i`` (``None`` = no prefetching for that
     core). Alternatively ``shared_prefetcher`` (a model-backed prefetcher
     exposing ``.multistream()``, e.g. :class:`~repro.prefetch.dart.DARTPrefetcher`)
-    serves *every* core from one model: each core's LLC-level stream becomes
-    a tenant of a shared :class:`~repro.runtime.multistream.MultiStreamEngine`
-    and the cores' queries are answered in coalesced predict batches
-    (``shared_stream_kwargs`` forwards ``batch_size`` / ``max_wait``).
-    Returns per-core :class:`SimResult` (IPC etc.) plus shared LLC and DRAM
-    statistics; with a shared prefetcher, also the engine's serving counters.
+    serves *every* core from one model; ``shared_stream_kwargs`` forwards
+    ``batch_size`` / ``max_wait`` to its engine.
     """
     cfg = config or HierarchyConfig()
     n_cores = len(traces)
-    if n_cores == 0:
-        raise ValueError("need at least one trace")
     if shared_prefetcher is not None:
         if prefetchers is not None and any(p is not None for p in prefetchers):
             raise ValueError("pass per-core prefetchers or shared_prefetcher, not both")
@@ -144,177 +120,38 @@ def simulate_multicore(
                 "shared_prefetcher must expose .multistream() (a model-backed "
                 "prefetcher such as DARTPrefetcher or NeuralPrefetcher)"
             )
-        prefetchers = [None] * n_cores
-    if prefetchers is None:
-        prefetchers = [None] * n_cores
-    if len(prefetchers) != n_cores:
+    elif shared_stream_kwargs is not None:
+        raise ValueError("shared_stream_kwargs needs a shared_prefetcher")
+    elif prefetchers is not None and len(prefetchers) != n_cores:
         raise ValueError("need one prefetcher slot per core")
 
-    llc = PolicyCache.from_capacity(cfg.llc.capacity_bytes, cfg.llc.n_ways, policy=llc_policy)
-    dram = DRAMModel(cfg.dram)
-    llc_stats = LevelStats("LLC")
-    cores = [_Core(i, t, cfg) for i, t in enumerate(traces)]
-
-    def _llc_subtrace(core: _Core):
-        idxs = extract_llc_stream(core.trace, cfg)
-        core.llc_indices = idxs
-        return MemoryTrace(
-            core.trace.instr_ids[idxs],
-            core.trace.pcs[idxs],
-            core.trace.addrs[idxs],
-            name=core.trace.name,
-        )
-
+    streams: list[StreamingPrefetcher | None] = [None] * n_cores
     predictor_stats: dict = {}
     if shared_prefetcher is not None:
-        # One model, N tenant streams: the cores' private LLC streams are
-        # interleaved through a shared engine so predictions are answered in
-        # coalesced batches. Per-core lists are bit-identical to per-core
-        # model instances (the engine's equivalence bar), so timing results
-        # match the replicated-model path exactly.
-        from repro.runtime.multistream import serve_interleaved
-
+        # The engine's equivalence bar makes these lists bit-identical to
+        # per-core model instances, so timing matches the replicated path.
         engine = shared_prefetcher.multistream(**(shared_stream_kwargs or {}))
-        subs = [_llc_subtrace(core) for core in cores]
-        handles = engine.streams(n_cores, names=[f"core{c.idx}" for c in cores])
+        replays = [_ListReplay(t, cfg, shared_prefetcher.latency_cycles) for t in traces]
+        handles = engine.streams(n_cores, names=[f"core{i}" for i in range(n_cores)])
+        subs = [r.llc_trace for r in replays]
         _, _, lists = serve_interleaved(handles, subs, collect=True, measure=False)
-        for core, lst in zip(cores, lists):
-            core.pf_lists = lst
-            core.pred_latency = float(shared_prefetcher.latency_cycles)
-        predictor_stats = engine.stats()
-        predictor_stats["name"] = shared_prefetcher.name
+        for replay, lst in zip(replays, lists):
+            replay.lists = lst
+        streams = replays
+        predictor_stats = {**engine.stats(), "name": shared_prefetcher.name}
     else:
         # Batched predictions per core over its private LLC-level stream.
-        for core, pf in zip(cores, prefetchers):
-            if pf is None:
-                continue
-            sub = _llc_subtrace(core)
-            core.pf_lists = pf.prefetch_lists(sub)
-            core.pred_latency = float(pf.latency_cycles)
+        for i, pf in enumerate(prefetchers or ()):
+            if pf is not None:
+                streams[i] = replay = _ListReplay(traces[i], cfg, pf.latency_cycles)
+                replay.lists = pf.prefetch_lists(replay.llc_trace)
 
-    width = float(cfg.width)
-    rob = int(cfg.rob)
-    mshr = int(cfg.mshr)
-    l1_lat, l2_lat, llc_lat = cfg.l1d.latency, cfg.l2.latency, cfg.llc.latency
-
-    missq: deque[float] = deque()  # shared MSHR pool
-    # heap of (visible_time, seq, block, owner core index)
-    pfq: list[tuple[float, int, int, int]] = []
-    pf_seq = 0
-
-    def drain_prefetches(now: float) -> None:
-        while pfq and pfq[0][0] <= now:
-            t_vis, _, blk, owner_idx = heapq.heappop(pfq)
-            if llc.peek(blk) is not None:
-                continue
-            while missq and missq[0] <= t_vis:
-                missq.popleft()
-            if len(missq) >= mshr:
-                continue
-            ready = dram.access(blk, t_vis)
-            missq.append(ready)
-            llc.fill(blk, prefetched=True, ready_cycle=ready)
-            cores[owner_idx].issued += 1
-
-    # Event loop: always advance the core with the smallest current time.
-    heap: list[tuple[float, int]] = [(0.0, i) for i in range(n_cores)]
-    heapq.heapify(heap)
-
-    while heap:
-        _, ci = heapq.heappop(heap)
-        core = cores[ci]
-        if core.done():
-            continue
-        i = core.pos
-        core.pos += 1
-        instr_i = int(core.instr_ids[i])
-        gap = (instr_i - core.prev_instr) / width
-        core.prev_instr = instr_i
-        core.fetch += gap
-        while core.robq and core.robq[0][0] <= instr_i - rob:
-            r = core.robq.popleft()[1]
-            if r > core.rob_floor:
-                core.rob_floor = r
-        if core.fetch < core.rob_floor:
-            core.fetch = core.rob_floor
-        now = core.fetch
-        drain_prefetches(now)
-
-        block = int(core.blocks[i])
-        lat = 0.0
-        line1 = core.l1.lookup(block)
-        if line1 is not None:
-            lat = l1_lat
-        else:
-            line2 = core.l2.lookup(block)
-            if line2 is not None:
-                lat = l1_lat + l2_lat
-                core.l1.fill(block)
-            else:
-                llc_stats.accesses += 1
-                line3 = llc.lookup(block)
-                if line3 is not None:
-                    llc_stats.hits += 1
-                    if line3.ready_cycle > now:
-                        lat = (line3.ready_cycle - now) + l1_lat + l2_lat + llc_lat
-                        core.late_hits += 1
-                    else:
-                        lat = l1_lat + l2_lat + llc_lat
-                    if line3.prefetched and not line3.used:
-                        line3.used = True
-                        core.useful += 1
-                    core.hits += 1
-                else:
-                    llc_stats.misses += 1
-                    core.misses += 1
-                    while missq and missq[0] <= now:
-                        missq.popleft()
-                    issue_t = now
-                    if len(missq) >= mshr:
-                        issue_t = missq.popleft()
-                    ready = dram.access(block, issue_t)
-                    missq.append(ready)
-                    lat = (ready - now) + l1_lat + l2_lat + llc_lat
-                    llc.fill(block, ready_cycle=ready)
-                core.l2.fill(block)
-                core.l1.fill(block)
-                if core.pf_lists is not None:
-                    idxs = core.llc_indices
-                    assert idxs is not None
-                    if core.llc_cursor < len(idxs) and int(idxs[core.llc_cursor]) == i:
-                        lst = core.pf_lists[core.llc_cursor]
-                        core.llc_cursor += 1
-                        if lst:
-                            vis = now + core.pred_latency
-                            for blk in lst:
-                                heapq.heappush(
-                                    pfq,
-                                    (vis, pf_seq, blk + core.idx * CORE_ADDRESS_STRIDE, core.idx),
-                                )
-                                pf_seq += 1
-
-        ready_time = now + lat
-        step = gap if gap > 0.25 else 0.25
-        core.retire = max(core.retire + step, ready_time)
-        core.robq.append((instr_i, core.retire))
-        if not core.done():
-            heapq.heappush(heap, (core.fetch, ci))
-
-    results = [
-        SimResult(
-            name=f"core{c.idx}:{c.trace.name or 'trace'}",
-            instructions=int(c.instr_ids[-1]) if len(c.instr_ids) else 0,
-            cycles=c.retire,
-            demand_accesses=len(c.blocks),
-            demand_hits=c.hits,
-            demand_misses=c.misses,
-            late_prefetch_hits=c.late_hits,
-            prefetches_issued=c.issued,
-            prefetches_useful=c.useful,
-            prefetch_hits=c.useful,
-        )
-        for c in cores
-    ]
+    cores, llc, dram = _simulate(
+        traces, streams, cfg, (cfg.l1d, cfg.l2), cfg.llc, feed_at_shared=True
+    )
     return MulticoreResult(
-        cores=results, llc=llc_stats, dram=dram.stats.as_dict(), predictor=predictor_stats
+        cores=[t.sim_result("core", t.shared_stats.hits) for t in cores],
+        llc=replace(llc, name="LLC"),
+        dram=dram.stats.as_dict(),
+        predictor=predictor_stats,
     )

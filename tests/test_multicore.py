@@ -133,3 +133,37 @@ def test_summary_shape():
 def test_dram_stats_exposed():
     r = simulate_multicore([_stream_trace(800)], config=_cfg())
     assert r.dram["reads"] > 0
+
+
+def test_llc_follows_configured_policy():
+    """The shared LLC is built from ``config.llc``, replacement policy included:
+    without prefetching its hits equal an untimed replay of the LLC stream."""
+    n = 4000
+    rng = np.random.default_rng(0)
+    addrs = rng.integers(0, 1400, n).astype(np.int64) << 6
+    tr = MemoryTrace(np.arange(1, n + 1) * 10, np.zeros(n, dtype=np.int64), addrs)
+    hits = {}
+    for policy in ("lru", "plru"):
+        cfg = _cfg().with_replacement(policy)
+        llc, expect = cfg.llc.make(), 0
+        for b in tr.block_addrs[extract_llc_stream(tr, cfg)].tolist():
+            if llc.lookup(b) is None:
+                llc.fill(b)
+            else:
+                expect += 1
+        hits[policy] = simulate_multicore([tr], config=cfg).llc.hits
+        assert hits[policy] == expect, policy
+    assert hits["lru"] != hits["plru"]  # the trace tells the policies apart
+
+
+def test_list_replay_rejects_a_misaligned_stream():
+    """Batch lists replay only onto the LLC stream they were computed for."""
+    from repro.runtime import Emission
+    from repro.sim.multicore import _ListReplay
+
+    replay = _ListReplay(_stream_trace(50), _cfg(), latency_cycles=0)
+    replay.lists = [[7] for _ in range(len(replay.llc_trace))]
+    first = int(replay.llc_trace.addrs[0])
+    assert replay.ingest(0, first) == [Emission(0, [7])]
+    with pytest.raises(RuntimeError, match="LLC access 1"):
+        replay.ingest(0, first)

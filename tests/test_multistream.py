@@ -227,6 +227,8 @@ def test_multicore_shared_model_validation(dart, four_traces):
         )
     with pytest.raises(TypeError):
         simulate_multicore([four_traces[0]], shared_prefetcher=NextLinePrefetcher())
+    with pytest.raises(ValueError, match="shared_stream_kwargs"):
+        simulate_multicore([four_traces[0]], shared_stream_kwargs={"batch_size": 8})
 
 
 def test_aggregate_latency_counts_equal_sum_of_streams(dart, four_traces):
