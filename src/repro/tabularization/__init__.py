@@ -13,6 +13,9 @@ This package is the paper's primary contribution (Sec. V–VI):
   :class:`repro.models.AttentionPredictor`.
 * :func:`tabularize_predictor` — Algorithm 1: layer-wise conversion with
   optional fine-tuning (Eq. 26) against the NN layer outputs.
+* :mod:`~repro.tabularization.transitions` — exact code transitions: where a
+  table feeds the next quantizer only through elementwise ops, that
+  quantizer's codes are looked up per source code tuple instead of encoded.
 """
 
 from repro.tabularization.attention_kernel import TabularAttention

@@ -111,8 +111,9 @@ class TabularAttention:
         pq_q.fit(q_train.reshape(-1, dk))
         pq_k.fit(k_train.reshape(-1, dk))
         qk_table = pairwise_prototype_table(pq_q.prototypes, pq_k.prototypes)
-        # Step 2: reproduce Q̃K̃ᵀ through the table (Eq. 13), quantize its rows.
-        qk_hat = cls._qk_lookup(pq_q, pq_k, qk_table, q_train, k_train)  # (N, T, T)
+        # Step 2: reproduce Q̃K̃ᵀ (N, T, T) through the table (Eq. 13), quantize
+        # its rows.
+        qk_hat = _pair_lookup(qk_table, *cls._encode_qk(pq_q, pq_k, q_train, k_train))
         pq_qk = ProductQuantizer(t, n_subspaces_t, n_prototypes, encoder=encoder, rng=r_qk)
         pq_qk.fit(qk_hat.reshape(-1, t))
         # Step 3: fold scale + sigmoid into the prototypes (Eq. 14) and take
@@ -126,18 +127,14 @@ class TabularAttention:
 
     # ----------------------------------------------------------------- helpers
     @staticmethod
-    def _qk_lookup(
-        pq_q: ProductQuantizer,
-        pq_k: ProductQuantizer,
-        qk_table: np.ndarray,
-        q: np.ndarray,
-        k: np.ndarray,
-    ) -> np.ndarray:
-        """Approximate ``Q Kᵀ`` via table lookups (Eq. 13) for (B, T, D_k)."""
+    def _encode_qk(
+        pq_q: ProductQuantizer, pq_k: ProductQuantizer, q: np.ndarray, k: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(C_k, B, T)`` Q and K codes for ``(B, T, D_k)`` inputs."""
         b, t, dk = q.shape
         iq = pq_q.encode(q.reshape(-1, dk)).T.reshape(-1, b, t)
         ik = pq_k.encode(k.reshape(-1, dk)).T.reshape(-1, b, t)
-        return _pair_lookup(qk_table, iq, ik)
+        return iq, ik
 
     # ------------------------------------------------------------------ query
     def query(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -148,7 +145,17 @@ class TabularAttention:
                 f"query shape (T={t}, Dk={dk}) differs from training "
                 f"(T={self.seq_len}, Dk={self.head_dim})"
             )
-        qk_hat = self._qk_lookup(self.pq_q, self.pq_k, self.qk_table, q, k)
+        return self.query_codes(*self._encode_qk(self.pq_q, self.pq_k, q, k), v)
+
+    def query_codes(self, iq: np.ndarray, ik: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """:meth:`query` from ready ``(C_k, B, T)`` Q and K codes.
+
+        The codes are what ``pq_q`` / ``pq_k`` give the rows of Q and K; an
+        exact code transition (``TabularMSA.code_transition``) supplies them
+        without an encode. ``v`` is ``(B, T, D_k)``.
+        """
+        b, t, dk = v.shape
+        qk_hat = _pair_lookup(self.qk_table, iq, ik)
         iqk = self.pq_qk.encode(qk_hat.reshape(-1, t)).T.reshape(-1, b, t)
         v_cols = np.ascontiguousarray(v.transpose(0, 2, 1)).reshape(-1, t)
         iv = self.pq_v.encode(v_cols).T.reshape(-1, b, dk)

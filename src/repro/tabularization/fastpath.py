@@ -39,22 +39,30 @@ be IEEE-754 exact:
 * ``mean``/``var`` decompose into the same ``np.add.reduce`` + divide
   sequence NumPy's ``_methods`` implement;
 * elementwise ops and gathers are value-exact regardless of batching, so
-  those *are* batched across subspaces.
+  those *are* batched across subspaces;
+* the QKV → attention and FFN1 → FFN2 sites gather their destination codes
+  from the exact code maps of :mod:`repro.tabularization.transitions`, the
+  same maps the generic path uses. A plan decides at construction whether a
+  site is mapped (a shape check against ``MAX_SOURCE_TUPLES``) but asks the
+  site for its map on every query, so the map is built on the first query,
+  not with the plan.
 
 ``tests/test_fastpath.py`` pins ``query1 == query`` bitwise; the
 serving-conformance matrix pins the whole serving stack on top of it.
 
 Hot model swaps replace the plan (``_FlushPath.set_predictor`` rebuilds it);
 in-place table refreshes (``TabularLinear.rebuild``) are caught by an
-identity check on the source table each run, so a stale flattened copy can
-never serve.
+identity check on the source table each run, so neither a stale flattened
+copy nor a stale code map can serve.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SingleQueryFastPath", "EncodePlan", "RowPlan", "AttentionPlan"]
+from repro.tabularization.transitions import code_dtype, mappable, tuple_radix
+
+__all__ = ["SingleQueryFastPath", "EncodePlan", "TableGather", "RowPlan", "AttentionPlan"]
 
 
 class EncodePlan:
@@ -149,20 +157,18 @@ class EncodePlan:
         return codes
 
 
-class RowPlan:
-    """Fixed-row-count encode → gather → aggregate for one table kernel.
+class TableGather:
+    """Fixed-row-count gather → aggregate over a ``(C, K, D_out)`` table.
 
-    Works for any kernel carrying ``(pq, table)`` with a ``(C, K, D_out)``
-    table — :class:`TabularLinear` and :class:`FusedFunctionTable` both
-    expose it via ``make_row_plan``.
+    :meth:`run` takes the table each call and re-flattens it only when a new
+    array is passed, so an in-place kernel refresh can never serve a stale
+    flattened copy.
     """
 
-    __slots__ = ("kernel", "enc", "offs", "gathered", "out", "_src_table", "_flat")
+    __slots__ = ("offs", "gathered", "out", "_src_table", "_flat")
 
-    def __init__(self, kernel, n: int):
-        self.kernel = kernel
-        self.enc = EncodePlan(kernel.pq, n)
-        c, k, d_out = kernel.table.shape
+    def __init__(self, table_shape, n: int):
+        c, k, d_out = table_shape
         # subspace offsets materialized at codes' full (C, n) shape (cheap add)
         self.offs = np.ascontiguousarray(
             np.broadcast_to((np.arange(c, dtype=np.intp) * k)[:, None], (c, n))
@@ -171,17 +177,12 @@ class RowPlan:
         self.out = np.empty((n, d_out))
         self._src_table = None
         self._flat = None
-        self._refresh()
 
-    def _refresh(self) -> None:
-        table = self.kernel.table
-        self._flat = table.reshape(-1, table.shape[2])
-        self._src_table = table
-
-    def run(self, x2d: np.ndarray) -> np.ndarray:
-        if self.kernel.table is not self._src_table:  # in-place rebuild()
-            self._refresh()
-        codes = self.enc.encode(x2d)
+    def run(self, table: np.ndarray, codes: np.ndarray) -> np.ndarray:
+        """Aggregate ``table`` rows for ``(C, n)`` intp codes (consumed)."""
+        if table is not self._src_table:
+            self._flat = table.reshape(-1, table.shape[2])
+            self._src_table = table
         np.add(codes, self.offs, codes)
         self._flat.take(codes, 0, self.gathered)
         # (C, n, D) reduced over axis 0 is bitwise-identical to the generic
@@ -190,18 +191,58 @@ class RowPlan:
         return self.out
 
 
-class AttentionPlan:
-    """Fixed-batch attention kernel: 4 encodes + 2 flat-table gathers.
+class RowPlan:
+    """Fixed-row-count encode → gather → aggregate for one table kernel.
 
-    ``batch`` is the number of attention instances (``B·H``; the fast path
-    uses ``B = 1`` so ``batch = heads``). Callers supply row-major Q/K rows
-    ``(batch·T, D_k)`` and V columns ``(batch·D_k, T)`` — the exact row
-    orders the generic path's reshapes produce.
+    Works for any kernel carrying ``(pq, table)`` with a ``(C, K, D_out)``
+    table — :class:`TabularLinear` and :class:`FusedFunctionTable` both
+    expose it via ``make_row_plan``.
+    """
+
+    __slots__ = ("kernel", "enc", "gather", "out")
+
+    def __init__(self, kernel, n: int):
+        self.kernel = kernel
+        self.enc = EncodePlan(kernel.pq, n)
+        self.gather = TableGather(kernel.table.shape, n)
+        self.out = self.gather.out
+
+    def run(self, x2d: np.ndarray) -> np.ndarray:
+        return self.gather.run(self.kernel.table, self.enc.encode(x2d))
+
+
+class _CodeTransitionPlan:
+    """Fixed-row-count gather of a code map: ``(C, n)`` source codes in,
+    ``(n, width)`` destination codes out (``take`` into ``rows``).
+
+    The map itself comes from the owning site's ``code_transition()`` each
+    call, so it is built on the first query, never at plan construction.
+    """
+
+    __slots__ = ("radix", "idx", "rows")
+
+    def __init__(self, source_table: np.ndarray, n: int, width: int, k_dest: int):
+        self.radix = tuple_radix(source_table)
+        self.idx = np.empty(n, dtype=np.intp)
+        self.rows = np.empty((n, width), dtype=code_dtype(k_dest))
+
+    def run(self, code_map: np.ndarray, codes: np.ndarray) -> np.ndarray:
+        np.matmul(self.radix, codes, self.idx)
+        code_map.take(self.idx, 0, self.rows)
+        return self.rows
+
+
+class _AttentionCodesPlan:
+    """Fixed-batch attention kernel from Q/K codes: 2 encodes + 2 gathers.
+
+    The caller writes the ``(C_k, batch·T)`` Q and K codes into the ``iq`` /
+    ``ik`` buffers it passes in (the Q/K encoders' own code buffers, or the
+    destination of a code transition) and supplies V columns
+    ``(batch·D_k, T)``.
     """
 
     __slots__ = (
-        "attn", "batch",
-        "enc_q", "enc_k", "enc_qk", "enc_v",
+        "attn", "iq", "enc_qk", "enc_v",
         "qk_coffs", "qk_row_view", "qk_col_view", "qk_idx", "qk_gathered",
         "qk_hat", "qk_hat_rows",
         "qkv_coffs", "qkv_row_view", "qkv_col_view", "qkv_idx", "qkv_gathered",
@@ -209,25 +250,23 @@ class AttentionPlan:
         "_qk_src", "_qk_flat", "_qkv_src", "_qkv_flat",
     )
 
-    def __init__(self, attn, batch: int):
+    def __init__(self, attn, batch: int, iq: np.ndarray, ik: np.ndarray):
         self.attn = attn
-        self.batch = int(batch)
-        b, t, dk = self.batch, attn.seq_len, attn.head_dim
+        b, t, dk = int(batch), attn.seq_len, attn.head_dim
         k = attn.qk_table.shape[1]
-        self.enc_q = EncodePlan(attn.pq_q, b * t)
-        self.enc_k = EncodePlan(attn.pq_k, b * t)
-        self.enc_qk = EncodePlan(attn.pq_qk, b * t)
-        self.enc_v = EncodePlan(attn.pq_v, b * dk)
         ck = attn.qk_table.shape[0]
         ct = attn.qkv_table.shape[0]
+        self.iq = iq
+        self.enc_qk = EncodePlan(attn.pq_qk, b * t)
+        self.enc_v = EncodePlan(attn.pq_v, b * dk)
         # Precomputed c·K² strides and index-buffer views: the gather
         # ``flat[c·K² + row_code·K + col_code]`` touches the exact entries
         # the generic fancy gather does, so the subspace sum is identical.
         self.qk_coffs = np.ascontiguousarray(
             np.broadcast_to((np.arange(ck, dtype=np.intp) * k * k)[:, None], (ck, b * t))
         )
-        self.qk_row_view = self.enc_q.codes.reshape(ck, b, t, 1)
-        self.qk_col_view = self.enc_k.codes.reshape(ck, b, 1, t)
+        self.qk_row_view = iq.reshape(ck, b, t, 1)
+        self.qk_col_view = ik.reshape(ck, b, 1, t)
         self.qk_idx = np.empty((ck, b, t, t), dtype=np.intp)
         self.qk_gathered = np.empty((ck, b, t, t))
         self.qk_hat = np.empty((b, t, t))
@@ -250,14 +289,13 @@ class AttentionPlan:
         self._qkv_flat = self.attn.qkv_table.reshape(-1)
         self._qkv_src = self.attn.qkv_table
 
-    def run(self, q_rows: np.ndarray, k_rows: np.ndarray, v_cols: np.ndarray) -> np.ndarray:
+    def run(self, v_cols: np.ndarray) -> np.ndarray:
         attn = self.attn
         if attn.qk_table is not self._qk_src or attn.qkv_table is not self._qkv_src:
             self._refresh()
         k = attn.qk_table.shape[1]
-        # Round 1: encode Q and K, gather/sum the QK table (Eq. 13).
-        iq = self.enc_q.encode(q_rows)
-        self.enc_k.encode(k_rows)
+        # Round 1: gather/sum the QK table (Eq. 13).
+        iq = self.iq
         np.multiply(iq, k, iq)  # codes are consumed; scale in place
         np.add(iq, self.qk_coffs, iq)
         np.add(self.qk_row_view, self.qk_col_view, self.qk_idx)
@@ -274,16 +312,45 @@ class AttentionPlan:
         return self.ctx
 
 
+class AttentionPlan:
+    """Fixed-batch attention kernel: 4 encodes + 2 flat-table gathers.
+
+    ``batch`` is the number of attention instances (``B·H``; the fast path
+    uses ``B = 1`` so ``batch = heads``). Callers supply row-major Q/K rows
+    ``(batch·T, D_k)`` and V columns ``(batch·D_k, T)`` — the exact row
+    orders the generic path's reshapes produce.
+    """
+
+    __slots__ = ("attn", "batch", "enc_q", "enc_k", "coded", "ctx")
+
+    def __init__(self, attn, batch: int):
+        self.attn = attn
+        self.batch = int(batch)
+        n = self.batch * attn.seq_len
+        self.enc_q = EncodePlan(attn.pq_q, n)
+        self.enc_k = EncodePlan(attn.pq_k, n)
+        self.coded = _AttentionCodesPlan(attn, self.batch, self.enc_q.codes, self.enc_k.codes)
+        self.ctx = self.coded.ctx
+
+    def run(self, q_rows: np.ndarray, k_rows: np.ndarray, v_cols: np.ndarray) -> np.ndarray:
+        self.enc_q.encode(q_rows)
+        self.enc_k.encode(k_rows)
+        return self.coded.run(v_cols)
+
+
 class _MSAPlan:
     """Multi-head attention on one ``(T, D)`` input, heads pre-split once.
 
     The head split/merge copies are single ``copyto`` calls through views
     precomputed over the fixed scratch buffers — the same row orders the
-    generic path's reshape/transpose chains produce.
+    generic path's reshape/transpose chains produce. A mapped plan (QKV code
+    space within ``MAX_SOURCE_TUPLES``) encodes the input once, gathers the
+    per-head Q/K codes from the site's code map and aggregates only the V
+    third of the QKV table, as ``TabularMSA.query`` does.
     """
 
     __slots__ = (
-        "msa", "qkv", "attn", "out",
+        "msa", "qkv", "attn", "out", "mapped", "qkv_enc", "qk_map", "v",
         "q_rows", "k_rows", "v_cols", "merged",
         "_q_src", "_k_src", "_v_src", "_q_dst", "_k_dst", "_v_dst",
         "_ctx_src", "_merged_dst",
@@ -291,32 +358,65 @@ class _MSAPlan:
 
     def __init__(self, msa, t: int):
         self.msa = msa
-        self.qkv = msa.qkv.make_row_plan(t)
-        self.attn = msa.attn.make_attention_plan(msa.heads)
-        self.out = msa.out.make_row_plan(t)
+        self.mapped = mappable(msa.qkv.table)
         h, dh, d = msa.heads, msa.head_dim, msa.dim
-        self.q_rows = np.empty((h * t, dh))
-        self.k_rows = np.empty((h * t, dh))
+        self.out = msa.out.make_row_plan(t)
         self.v_cols = np.empty((h * dh, t))
         self.merged = np.empty((t, d))
-        qkv_out = self.qkv.out  # (T, 3D), fixed buffer
-        #: (B·H, T, Dh)-ordered head views over the QKV output
-        self._q_src = qkv_out[:, :d].reshape(t, h, dh).transpose(1, 0, 2)
-        self._k_src = qkv_out[:, d : 2 * d].reshape(t, h, dh).transpose(1, 0, 2)
-        #: V columns: (H, Dh, T) view matching the generic transpose(0, 2, 1)
-        self._v_src = qkv_out[:, 2 * d :].reshape(t, h, dh).transpose(1, 2, 0)
-        self._q_dst = self.q_rows.reshape(h, t, dh)
-        self._k_dst = self.k_rows.reshape(h, t, dh)
         self._v_dst = self.v_cols.reshape(h, dh, t)
+        if self.mapped:
+            ck = msa.attn.n_subspaces_k
+            self.qkv = None
+            self.qkv_enc = EncodePlan(msa.qkv.pq, t)
+            self.qk_map = _CodeTransitionPlan(
+                msa.qkv.table, t, 2 * h * ck, msa.attn.n_prototypes
+            )
+            c, k, _ = msa.qkv.table.shape
+            self.v = TableGather((c, k, d), t)
+            iq = np.empty((ck, h * t), dtype=np.intp)
+            ik = np.empty((ck, h * t), dtype=np.intp)
+            self.attn = _AttentionCodesPlan(msa.attn, h, iq, ik)
+            self.q_rows = self.k_rows = None
+            #: per-head code views: map rows (T, 2, H, C_k) -> (C_k, H, T)
+            rows = self.qk_map.rows.reshape(t, 2, h, ck)
+            self._q_src = rows[:, 0].transpose(2, 1, 0)
+            self._k_src = rows[:, 1].transpose(2, 1, 0)
+            self._q_dst = iq.reshape(ck, h, t)
+            self._k_dst = ik.reshape(ck, h, t)
+            self._v_src = self.v.out.reshape(t, h, dh).transpose(1, 2, 0)
+        else:
+            self.qkv_enc = self.qk_map = self.v = None
+            self.qkv = msa.qkv.make_row_plan(t)
+            self.attn = msa.attn.make_attention_plan(h)
+            self.q_rows = np.empty((h * t, dh))
+            self.k_rows = np.empty((h * t, dh))
+            qkv_out = self.qkv.out  # (T, 3D), fixed buffer
+            #: (B·H, T, Dh)-ordered head views over the QKV output
+            self._q_src = qkv_out[:, :d].reshape(t, h, dh).transpose(1, 0, 2)
+            self._k_src = qkv_out[:, d : 2 * d].reshape(t, h, dh).transpose(1, 0, 2)
+            #: V columns: (H, Dh, T) view matching the generic transpose(0, 2, 1)
+            self._v_src = qkv_out[:, 2 * d :].reshape(t, h, dh).transpose(1, 2, 0)
+            self._q_dst = self.q_rows.reshape(h, t, dh)
+            self._k_dst = self.k_rows.reshape(h, t, dh)
         self._ctx_src = self.attn.ctx.transpose(1, 0, 2)  # (T, H, Dh)
         self._merged_dst = self.merged.reshape(t, h, dh)
 
     def run(self, x2d: np.ndarray) -> np.ndarray:
-        self.qkv.run(x2d)  # fills self.qkv.out
-        np.copyto(self._q_dst, self._q_src)
-        np.copyto(self._k_dst, self._k_src)
-        np.copyto(self._v_dst, self._v_src)
-        self.attn.run(self.q_rows, self.k_rows, self.v_cols)  # fills attn.ctx
+        if self.mapped:
+            qk_codes, v_table = self.msa.code_transition()
+            codes = self.qkv_enc.encode(x2d)
+            self.qk_map.run(qk_codes, codes)  # before the gather consumes codes
+            np.copyto(self._q_dst, self._q_src)
+            np.copyto(self._k_dst, self._k_src)
+            self.v.run(v_table, codes)
+            np.copyto(self._v_dst, self._v_src)
+            self.attn.run(self.v_cols)  # fills attn.ctx
+        else:
+            self.qkv.run(x2d)  # fills self.qkv.out
+            np.copyto(self._q_dst, self._q_src)
+            np.copyto(self._k_dst, self._k_src)
+            np.copyto(self._v_dst, self._v_src)
+            self.attn.run(self.q_rows, self.k_rows, self.v_cols)  # fills attn.ctx
         np.copyto(self._merged_dst, self._ctx_src)
         return self.out.run(self.merged)
 
@@ -358,24 +458,53 @@ class _LayerNormPlan:
 
 
 class _EncoderLayerPlan:
-    """One tabularized encoder layer on a fixed ``(T, D)`` activation."""
+    """One tabularized encoder layer on a fixed ``(T, D)`` activation.
 
-    __slots__ = ("msa", "ln1", "ffn1", "ffn2", "ln2", "resid")
+    A mapped plan (FFN1 code space within ``MAX_SOURCE_TUPLES``) encodes the
+    FFN1 input, gathers the FFN2 codes from the layer's code map and
+    aggregates the FFN2 table, as ``TabularEncoderLayer.query`` does.
+    """
+
+    __slots__ = (
+        "layer", "msa", "ln1", "ffn1", "ffn2", "ln2", "resid",
+        "mapped", "ffn1_enc", "ffn2_map", "ffn2_codes", "ffn2_gather", "_codes_src",
+    )
 
     def __init__(self, layer, t: int):
+        self.layer = layer
         self.msa = _MSAPlan(layer.msa, t)
         self.ln1 = _LayerNormPlan(layer.ln1, t)
-        self.ffn1 = layer.ffn1.make_row_plan(t)
-        self.ffn2 = layer.ffn2.make_row_plan(t)
         self.ln2 = _LayerNormPlan(layer.ln2, t)
         self.resid = np.empty((t, layer.msa.dim))
+        self.mapped = mappable(layer.ffn1.table)
+        if self.mapped:
+            pq = layer.ffn2.pq
+            self.ffn1 = self.ffn2 = None
+            self.ffn1_enc = EncodePlan(layer.ffn1.pq, t)
+            self.ffn2_map = _CodeTransitionPlan(
+                layer.ffn1.table, t, pq.n_subspaces, pq.n_prototypes
+            )
+            self.ffn2_codes = np.empty((pq.n_subspaces, t), dtype=np.intp)
+            self._codes_src = self.ffn2_map.rows.T
+            self.ffn2_gather = TableGather(layer.ffn2.table.shape, t)
+        else:
+            self.ffn1_enc = self.ffn2_map = self.ffn2_codes = self.ffn2_gather = None
+            self._codes_src = None
+            self.ffn1 = layer.ffn1.make_row_plan(t)
+            self.ffn2 = layer.ffn2.make_row_plan(t)
 
     def run(self, x2d: np.ndarray) -> np.ndarray:
         np.add(x2d, self.msa.run(x2d), self.resid)
         h1 = self.ln1.run(self.resid)
-        f1 = self.ffn1.run(h1)
-        np.maximum(f1, 0.0, out=f1)
-        f = self.ffn2.run(f1)
+        if self.mapped:
+            layer = self.layer
+            self.ffn2_map.run(layer.code_transition(), self.ffn1_enc.encode(h1))
+            np.copyto(self.ffn2_codes, self._codes_src)
+            f = self.ffn2_gather.run(layer.ffn2.table, self.ffn2_codes)
+        else:
+            f1 = self.ffn1.run(h1)
+            np.maximum(f1, 0.0, out=f1)
+            f = self.ffn2.run(f1)
         np.add(h1, f, self.resid)
         return self.ln2.run(self.resid)
 

@@ -13,6 +13,12 @@ two-kernel path. The catch (measured honestly in ``bench_ablations``): the
 FFN is nonlinear, and a sum of per-subspace contributions cannot represent
 ``f(sum of parts)`` exactly, so accuracy drops as C grows; with C=1 the fused
 table is exactly nearest-prototype function approximation.
+
+This is the *approximate* variant, kept for the ablation and not served.
+The served hierarchy fuses exactly instead
+(:mod:`repro.tabularization.transitions`): it keeps both FFN tables but maps
+each FFN1 code tuple to its FFN2 codes, so the FFN2 encode becomes a gather
+with no change to any output bit.
 """
 
 from __future__ import annotations

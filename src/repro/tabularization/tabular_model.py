@@ -19,10 +19,17 @@ import numpy as np
 
 from repro.models.config import ModelConfig
 from repro.nn.transformer import PositionalEncoding
+from repro.quantization.pq import lookup_aggregate
 from repro.tabularization.attention_kernel import TabularAttention
 from repro.tabularization.layernorm_op import LayerNormOp
 from repro.tabularization.linear_kernel import TabularLinear
 from repro.tabularization.sigmoid_lut import SigmoidLUT
+from repro.tabularization.transitions import (
+    CodeMapCache,
+    build_code_map,
+    mappable,
+    tuple_radix,
+)
 
 #: LayerNorm latency constant L_ln (cycles) — see DESIGN.md "Known deviations".
 LATENCY_LAYERNORM = 8.0
@@ -57,6 +64,11 @@ class TabularMSA:
     The attention kernel is shared across heads (trained on head-pooled data),
     matching the paper's storage model which charges ``S_a`` once per encoder
     layer (Eq. 23).
+
+    When the QKV code space is small enough (see
+    :mod:`~repro.tabularization.transitions`), the per-head Q and K codes
+    come from an exact code map instead of an encode, and only the V third
+    of the QKV table is gathered.
     """
 
     def __init__(self, qkv: TabularLinear, attn: TabularAttention, out: TabularLinear, heads: int):
@@ -66,30 +78,61 @@ class TabularMSA:
         self.heads = int(heads)
         self.dim = out.out_dim
         self.head_dim = self.dim // self.heads
+        self._transition = CodeMapCache()
+
+    def code_transition(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(qk_codes, v_table)`` of the QKV -> attention site, or ``None``.
+
+        ``qk_codes`` is ``(K**C, 2·H·C_k)``: per QKV code tuple, the ``pq_q``
+        then the ``pq_k`` codes of every head. ``v_table`` is the contiguous
+        V third of the QKV table. Built on first call; ``None`` when the QKV
+        code space exceeds ``MAX_SOURCE_TUPLES``.
+        """
+        table = self.qkv.table
+        if not mappable(table):
+            return None
+        attn = self.attn
+        key = (table, attn.pq_q.prototypes, attn.pq_k.prototypes)
+        return self._transition.get(key, self._build_transition)
+
+    def _build_transition(self) -> tuple[np.ndarray, np.ndarray]:
+        table, d, attn = self.qkv.table, self.dim, self.attn
+        qk_codes = build_code_map(table, [(0, d, attn.pq_q), (d, 2 * d, attn.pq_k)])
+        return qk_codes, np.ascontiguousarray(table[:, :, 2 * d :])
 
     def query(self, x: np.ndarray) -> np.ndarray:
         b, t, d = x.shape
-        qkv = self.qkv.query(x)  # (B, T, 3D)
-        q, k, v = np.split(qkv, 3, axis=-1)
+        h, dh = self.heads, self.head_dim
 
         def split(m):  # (B, T, D) -> (B*H, T, Dh): heads batch through the kernel
-            return (
-                m.reshape(b, t, self.heads, self.head_dim)
-                .transpose(0, 2, 1, 3)
-                .reshape(b * self.heads, t, self.head_dim)
-            )
+            return m.reshape(b, t, h, dh).transpose(0, 2, 1, 3).reshape(b * h, t, dh)
 
-        ctx = self.attn.query(split(q), split(k), split(v))  # (B*H, T, Dh)
-        merged = (
-            ctx.reshape(b, self.heads, t, self.head_dim)
-            .transpose(0, 2, 1, 3)
-            .reshape(b, t, d)
-        )
+        site = self.code_transition()
+        if site is None:
+            qkv = self.qkv.query(x)  # (B, T, 3D)
+            q, k, v = np.split(qkv, 3, axis=-1)
+            ctx = self.attn.query(split(q), split(k), split(v))  # (B*H, T, Dh)
+        else:
+            qk_codes, v_table = site
+            codes = self.qkv.pq.encode(x.reshape(-1, d))  # (B*T, C)
+            qk = qk_codes.take(codes @ tuple_radix(self.qkv.table), 0)
+            ck = self.attn.n_subspaces_k
+            # (B·T, 2·H·C_k) -> (2, C_k, B·H, T): the layout the Q/K encodes give
+            iqk = np.empty((2, ck, b * h, t), dtype=np.intp)
+            np.copyto(iqk.reshape(2, ck, b, h, t),
+                      qk.reshape(b, t, 2, h, ck).transpose(2, 4, 0, 3, 1))
+            v = lookup_aggregate(v_table, codes).reshape(b, t, d)
+            ctx = self.attn.query_codes(iqk[0], iqk[1], split(v))
+        merged = ctx.reshape(b, h, t, dh).transpose(0, 2, 1, 3).reshape(b, t, d)
         return self.out.query(merged)
 
 
 class TabularEncoderLayer:
-    """One tabularized Transformer encoder layer (post-LN, residuals direct)."""
+    """One tabularized Transformer encoder layer (post-LN, residuals direct).
+
+    When the FFN1 code space is small enough, the FFN2 codes come from an
+    exact code map of the FFN1 codes: the FFN1 lookup and ReLU do not run.
+    """
 
     def __init__(
         self,
@@ -104,10 +147,33 @@ class TabularEncoderLayer:
         self.ffn1 = ffn1
         self.ffn2 = ffn2
         self.ln2 = ln2
+        self._transition = CodeMapCache()
+
+    def code_transition(self) -> np.ndarray | None:
+        """``(K**C, C_ffn2)`` ``ffn2`` codes per FFN1 code tuple, or ``None``.
+
+        Built on first call; ``None`` when the FFN1 code space exceeds
+        ``MAX_SOURCE_TUPLES``.
+        """
+        table = self.ffn1.table
+        if not mappable(table):
+            return None
+        key = (table, self.ffn2.pq.prototypes)
+        return self._transition.get(key, self._build_transition)
+
+    def _build_transition(self) -> np.ndarray:
+        ffn1, pq = self.ffn1, self.ffn2.pq
+        return build_code_map(ffn1.table, [(0, ffn1.out_dim, pq)], relu=True)
 
     def query(self, x: np.ndarray) -> np.ndarray:
         h = self.ln1.query(x + self.msa.query(x))
-        f = self.ffn2.query(np.maximum(self.ffn1.query(h), 0.0))
+        ffn2_codes = self.code_transition()
+        if ffn2_codes is None:
+            f = self.ffn2.query(np.maximum(self.ffn1.query(h), 0.0))
+        else:
+            codes = self.ffn1.pq.encode(h.reshape(-1, h.shape[-1]))
+            mapped = ffn2_codes.take(codes @ tuple_radix(self.ffn1.table), 0)
+            f = lookup_aggregate(self.ffn2.table, mapped).reshape(*h.shape[:-1], -1)
         return self.ln2.query(h + f)
 
 
