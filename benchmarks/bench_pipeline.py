@@ -16,10 +16,6 @@ depths {1, 2, 8}. Three bars:
   1-CPU host the ratio is still measured and recorded, but the gate is
   marked skipped — overlapping compute onto one time-shared core cannot
   win, and pretending otherwise would poison the committed trajectory.
-  The ratio is the median over ``--reps`` (>= 3) repetitions of the depth
-  sweep, after one unmeasured warm-up pass. Repetitions alternate the
-  order of the depths: with depth 1 always first on a cold start, three
-  runs read 1.50x, 1.92x and 0.85x.
 
 Run standalone (writes the ``BENCH_pipeline.json`` trajectory artifact)::
 
@@ -35,7 +31,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 
 from repro.runtime import serve_interleaved
 from repro.utils import log
@@ -56,10 +51,7 @@ def run(
     output: str | None,
     seed: int = 2,
     identity_accesses: int | None = None,
-    reps: int = 3,
 ) -> dict:
-    if reps < 3:
-        raise ValueError(f"reps must be >= 3 for a median ratio, got {reps}")
     traces = make_streams(n_streams, accesses, seed)
     dart = build_dart(traces[0])
     cpus = os.cpu_count() or 1
@@ -84,42 +76,23 @@ def run(
         "cpus": cpus,
         "by_depth": {},
     }
-    def serve(depth: int, stream_traces, collect: bool):
+    rows = []
+    for depth in DEPTHS:
         with dart.sharded(
             workers=workers, batch_size=batch_size, max_wait=max_wait,
             pipeline_depth=depth,
         ) as eng:
-            agg, _, lists = eng.serve(stream_traces, collect=collect)
-            return agg, eng.stats(), lists
-
-    # One unmeasured pass pays worker start-up, imports and first-call
-    # allocations, which a cold first depth would otherwise be charged.
-    serve(DEPTHS[0], traces, collect=False)
-    # Repetitions alternate the depth order, so neither end of the sweep
-    # always runs first or last on a host whose speed drifts.
-    runs: dict[int, list] = {d: [] for d in DEPTHS}
-    ratios = []
-    for rep in range(reps):
-        for depth in DEPTHS if rep % 2 == 0 else DEPTHS[::-1]:
-            agg, stats, _ = serve(depth, traces, collect=False)
-            runs[depth].append((agg, stats))
-        ratios.append(
-            runs[max(DEPTHS)][-1][0].throughput / runs[1][-1][0].throughput
-            if runs[1][-1][0].throughput else 0.0
-        )
-    record["reps"] = reps
-    record["ratios"] = ratios
-
-    rows = []
-    for depth in DEPTHS:
-        _, _, lists = serve(depth, id_traces, collect=True)
+            agg, _, _ = eng.serve(traces, collect=False)
+            stats = eng.stats()
+        with dart.sharded(
+            workers=workers, batch_size=batch_size, max_wait=max_wait,
+            pipeline_depth=depth,
+        ) as eng:
+            _, _, lists = eng.serve(id_traces, collect=True)
         identical = all(lists[i] == ref_lists[i] for i in range(n_streams))
-        by_thr = sorted(runs[depth], key=lambda r: r[0].throughput)
-        agg, stats = by_thr[len(by_thr) // 2]  # the median run
         meter = stats["pipeline"]
         record["by_depth"][str(depth)] = {
             **agg.to_dict(),
-            "throughput_runs": [r[0].throughput for r in runs[depth]],
             "identical_to_single_process": identical,
             "predict_calls": stats["predict_calls"],
             "pipeline": meter,
@@ -131,8 +104,8 @@ def run(
         )
     log.table(
         f"pipelined serving of {n_streams} streams over W={workers} "
-        f"({accesses:,} accesses each, B={batch_size}, median of {reps} "
-        f"alternating reps, {cpus} CPU(s) visible)",
+        f"({accesses:,} accesses each, B={batch_size}, "
+        f"{cpus} CPU(s) visible)",
         ["depth", "acc/s", "p50 us", "p99 us", "stalls", "overlap", "identical"],
         rows,
     )
@@ -140,18 +113,19 @@ def run(
     record["all_identical"] = all(
         v["identical_to_single_process"] for v in record["by_depth"].values()
     )
-    # Depth 1 must be the historical lockstep exactly, on every repetition:
-    # no stalls, a pure one-outstanding occupancy profile, and the same
-    # predict schedule as the deepest window.
-    deep_calls = {stats["predict_calls"] for _, stats in runs[max(DEPTHS)]}
-    record["depth1_lockstep_exact"] = all(
-        stats["pipeline"]["credit_stalls"] == 0
-        and stats["pipeline"]["inflight_hist"] == [0, stats["pipeline"]["sends"]]
-        and {stats["predict_calls"]} == deep_calls
-        for _, stats in runs[1]
+    # Depth 1 must be the historical lockstep exactly: no stalls, a pure
+    # one-outstanding occupancy profile, and the same predict schedule as
+    # the deepest window.
+    m1 = record["by_depth"]["1"]["pipeline"]
+    record["depth1_lockstep_exact"] = (
+        m1["credit_stalls"] == 0
+        and m1["inflight_hist"] == [0, m1["sends"]]
+        and record["by_depth"]["1"]["predict_calls"]
+        == record["by_depth"][str(max(DEPTHS))]["predict_calls"]
     )
+    thr = {d: v["throughput"] for d, v in record["by_depth"].items()}
     d_hi = str(max(DEPTHS))
-    ratio = statistics.median(ratios)
+    ratio = thr[d_hi] / thr["1"] if thr["1"] else 0.0
     record["throughput_depth%s_over_depth1" % d_hi] = ratio
     record["throughput_bar"] = THROUGHPUT_BAR
     gate_applies = cpus >= MIN_CPUS_FOR_GATE and workers >= 2
@@ -169,7 +143,6 @@ def run(
     verdict = "PASS" if ok else "FAIL"
     print(
         f"[{verdict}] depth 1->{d_hi}: {ratio:.2f}x throughput "
-        f"(median of {reps}: {', '.join(f'{r:.2f}' for r in ratios)}) "
         f"(bar {THROUGHPUT_BAR}x, gate {record['throughput_gate']}), "
         f"bit-identical={record['all_identical']}, "
         f"depth-1 lockstep exact={record['depth1_lockstep_exact']}"
@@ -189,8 +162,6 @@ def main(argv=None) -> int:
     ap.add_argument("--batch-size", type=int, default=64)
     ap.add_argument("--max-wait", type=int, default=16)
     ap.add_argument("--seed", type=int, default=2)
-    ap.add_argument("--reps", type=int, default=3,
-                    help="alternating-order repetitions; the gate takes the median ratio")
     ap.add_argument("--output", "-o", default="BENCH_pipeline.json")
     ap.add_argument("--smoke", action="store_true",
                     help="tiny CI run: 4 streams, ~1.2k accesses")
@@ -202,7 +173,7 @@ def main(argv=None) -> int:
         args.max_wait = 4
     record = run(
         args.accesses, args.streams, args.workers, args.batch_size,
-        args.max_wait, args.output, seed=args.seed, reps=args.reps,
+        args.max_wait, args.output, seed=args.seed,
     )
     return 0 if record["pass"] else 1
 
