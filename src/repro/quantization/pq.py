@@ -20,11 +20,16 @@ Implements the training (Eqs. 5–6) and query (Eqs. 7–8) halves of PQ:
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from repro.quantization.encoders import HashTreeEncoder
 from repro.quantization.kmeans import kmeans_fit, nearest_into, nearest_operands
 from repro.utils.rng import new_rng, spawn_rngs
+
+#: Serializes ``exact_operands`` misses across threads.
+_OPERANDS_LOCK = threading.Lock()
 
 
 class ProductQuantizer:
@@ -75,9 +80,8 @@ class ProductQuantizer:
         #: learned prototypes, shape (C, K, subdim)
         self.prototypes: np.ndarray | None = None
         self._hash_trees: list[HashTreeEncoder] | None = None
-        # exact_operands() cache and the prototypes array it was built from
-        self._operands: list[tuple[np.ndarray, np.ndarray]] | None = None
-        self._operands_src: np.ndarray | None = None
+        # exact_operands() cache: (the prototypes array it was built from, operands)
+        self._operands: tuple = (None, None)
 
     # ------------------------------------------------------------------ util
     def _pad(self, x: np.ndarray) -> np.ndarray:
@@ -131,14 +135,20 @@ class ProductQuantizer:
 
         Built on first use and cached until ``prototypes`` is rebound, as
         ``fit`` and ``load_tabular_model`` do. They are derived data and are
-        never serialized.
+        never serialized. Concurrent first calls build them once: a miss
+        takes a lock and checks again; a hit takes no lock.
         """
-        if self.prototypes is None:
+        protos = self.prototypes
+        if protos is None:
             raise RuntimeError("ProductQuantizer not fitted")
-        if self._operands_src is not self.prototypes:
-            self._operands = [nearest_operands(p) for p in self.prototypes]
-            self._operands_src = self.prototypes
-        return self._operands
+        src, operands = self._operands
+        if src is not protos:
+            with _OPERANDS_LOCK:
+                src, operands = self._operands
+                if src is not protos:
+                    operands = [nearest_operands(p) for p in protos]
+                    self._operands = (protos, operands)
+        return operands
 
     def encode(self, x2d: np.ndarray) -> np.ndarray:
         """Encode rows to prototype indices; returns ``(n, C)`` intp.

@@ -16,6 +16,8 @@ This package is the paper's primary contribution (Sec. V–VI):
 * :mod:`~repro.tabularization.transitions` — exact code transitions: where a
   table feeds the next quantizer only through elementwise ops, that
   quantizer's codes are looked up per source code tuple instead of encoded.
+* :mod:`~repro.tabularization.rowpool` — the row workers a large batch
+  ``predict_proba`` spreads its rows over, one BLAS thread each.
 """
 
 from repro.tabularization.attention_kernel import TabularAttention

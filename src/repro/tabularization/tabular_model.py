@@ -20,6 +20,7 @@ import numpy as np
 from repro.models.config import ModelConfig
 from repro.nn.transformer import PositionalEncoding
 from repro.quantization.pq import lookup_aggregate
+from repro.tabularization import rowpool
 from repro.tabularization.attention_kernel import TabularAttention
 from repro.tabularization.layernorm_op import LayerNormOp
 from repro.tabularization.linear_kernel import TabularLinear
@@ -253,6 +254,16 @@ class TabularAttentionPredictor:
         allocates nothing per flush. Per-row results are identical whatever
         the batch split (every table lookup, LayerNorm and pooling operates
         row-locally), which the streaming/batch equivalence tests pin down.
+
+        A call of more than one ``batch_size`` chunk spreads its rows over
+        the :mod:`~repro.tabularization.rowpool` workers, one BLAS thread
+        each, in ``TASK_ROWS``-row tasks. Worker ``j`` of ``m`` runs tasks
+        ``j, j + m, …``, where ``m = min(workers, batch_size // TASK_ROWS)``,
+        so at most ``batch_size`` rows are in flight, as in the sequential
+        loop. It fans out only when ``m >= 2``. A call that fits in one
+        chunk (every streaming, multistream and sharded flush) and a host
+        with no pool run in the calling thread. Rows are row-local, so
+        the result is bit for bit the same either way.
         """
         n = x_addr.shape[0]
         if out is None:
@@ -261,21 +272,28 @@ class TabularAttentionPredictor:
             raise ValueError(
                 f"out must have shape {(n, self.model_config.bitmap_size)}, got {out.shape}"
             )
+        task = rowpool.TASK_ROWS
+        m = min(rowpool.workers(), batch_size // task) if n > batch_size >= 2 * task else 0
+        if m >= 2:
+            rowpool.run(
+                lambda j: self._predict_chunks(x_addr, x_pc, out, j * task, m * task, task), m
+            )
+        else:
+            self._predict_chunks(x_addr, x_pc, out, 0, batch_size, batch_size)
+        return out
+
+    def _predict_chunks(self, x_addr, x_pc, out, start, step, rows):
+        """Probabilities of the ``rows``-row chunks at ``start``, ``start + step``, …"""
         # The sigmoid LUT writes each chunk's probabilities straight into the
         # out slice (no per-chunk allocate-then-copy); the bin scratch is
         # reused across chunks (reallocated once for a short final chunk).
         f_scratch = idx_scratch = None
-        for s in range(0, n, batch_size):
-            logits = self.query_logits(
-                x_addr[s : s + batch_size], x_pc[s : s + batch_size]
-            )
+        for s in range(start, x_addr.shape[0], step):
+            logits = self.query_logits(x_addr[s : s + rows], x_pc[s : s + rows])
             if f_scratch is None or f_scratch.shape != logits.shape:
                 f_scratch = np.empty_like(logits)
                 idx_scratch = np.empty(logits.shape, dtype=np.int64)
-            self.sigmoid.query_into(
-                logits, f_scratch, idx_scratch, out[s : s + batch_size]
-            )
-        return out
+            self.sigmoid.query_into(logits, f_scratch, idx_scratch, out[s : s + rows])
 
     def layer_outputs(self, x_addr: np.ndarray, x_pc: np.ndarray) -> dict[str, np.ndarray]:
         """Named checkpoint activations (keys match ``trunk_activations``)."""

@@ -45,6 +45,8 @@ cost model (Eqs. 20-23) does not charge them.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from repro.quantization.pq import lookup_aggregate
@@ -65,6 +67,8 @@ MAX_SOURCE_TUPLES = 65_536
 #: buffers a build holds at once, in every process that serves the model
 #: (each sharded worker builds its own maps).
 BUILD_CHUNK = 512
+#: Serializes cache misses, so concurrent first queries build a map once.
+_BUILD_LOCK = threading.Lock()
 
 
 def mappable(table: np.ndarray) -> bool:
@@ -122,23 +126,27 @@ class CodeMapCache:
 
     ``get(key, build)`` returns the cached value while every array in ``key``
     is the object it was built from, and calls ``build()`` otherwise, the way
-    ``ProductQuantizer.exact_operands`` caches its operands.
+    ``ProductQuantizer.exact_operands`` caches its operands. Safe to call from
+    several threads: a miss takes a lock and checks again, so concurrent first
+    calls build once, and the hit path takes no lock.
     """
 
-    __slots__ = ("_key", "_value")
+    __slots__ = ("_entry",)
 
     def __init__(self):
-        self._key: tuple = ()
-        self._value = None
+        self._entry: tuple = ((), None)
 
     def get(self, key: tuple, build):
-        old = self._key
+        old, value = self._entry
         if len(old) == len(key):
             for a, b in zip(key, old):
                 if a is not b:
                     break
             else:  # the serving hot path: every array is the one built from
-                return self._value
-        self._value = build()
-        self._key = key
-        return self._value
+                return value
+        with _BUILD_LOCK:
+            old, value = self._entry
+            if len(old) != len(key) or any(a is not b for a, b in zip(key, old)):
+                value = build()
+                self._entry = (key, value)
+        return value
