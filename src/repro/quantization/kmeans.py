@@ -10,11 +10,14 @@ iteration.
 Eq. 7). :func:`assign_nearest` (k-means, the adaptation re-fit) and
 ``ProductQuantizer.encode`` (both serving paths) all run it. It walks the rows
 in tiles of :data:`NEAREST_TILE`, so its ``(tile, K)`` distance block stays in
-cache instead of materializing ``(n, K)`` temporaries. Per row it computes
-``x·(-2·Cᵀ) + ‖C‖²``, which is bitwise-identical to ``‖C‖² - 2.0·(x·Cᵀ)``:
-scaling by -2 is exact and commutes with rounding, and ``a - b ≡ (-b) + a``.
-The Lloyd loop keeps its full ``(n, K)`` distance matrix because its inertia
-and empty-cluster repair read every entry.
+cache instead of materializing ``(n, K)`` temporaries. Each tile is one GEMM:
+the rows, extended by a column of ones, times the fused ``(d+1, K)`` operand
+``[-2·Cᵀ; ‖C‖²]`` of :func:`nearest_operands`. That gives
+``x·(-2·Cᵀ) + ‖C‖²`` per row, bitwise-identical to ``‖C‖² - 2.0·(x·Cᵀ)``:
+scaling by -2 is exact and commutes with rounding, ``a - b ≡ (-b) + a``, and
+gemm's last fused multiply-add ``fma(1.0, ‖C‖², acc)`` rounds ``acc + ‖C‖²``
+exactly as a separate add does. The Lloyd loop keeps its full ``(n, K)``
+distance matrix because its inertia and empty-cluster repair read every entry.
 """
 
 from __future__ import annotations
@@ -55,46 +58,58 @@ def _kmeans_pp_init(
 
 
 #: Rows per distance tile of :func:`nearest_into`. At K=128 a 512-row float64
-#: block is 512 KB and stays in cache. In a sweep on a 2-vCPU x86-64 host
-#: (OpenBLAS 0.3.31), tiles of 128-1024 rows were flat and 512 was fastest.
+#: block is 512 KB and stays in cache. Swept with the fused operand on a
+#: 2-vCPU x86-64 host (OpenBLAS 0.3.31, one BLAS thread): over 10 alternating
+#: passes of the 17,375-row ``sim-ipc`` predict in 128-row chunks, tiles of
+#: 128/256/1024 rows beat 512 in 2/6/4 passes (medians 2.20/1.99/2.13 s
+#: against 1.98 s), so 512 stays.
 NEAREST_TILE = 512
 
 
-def nearest_operands(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(-2·centersᵀ, ‖centers‖²)``: the operands :func:`nearest_into` takes.
+def nearest_operands(centers: np.ndarray) -> np.ndarray:
+    """The fused ``(d+1, K)`` operand :func:`nearest_into` takes.
 
-    ``-2·centersᵀ`` is made C-contiguous. With the transposed view instead,
-    OpenBLAS rounds products of few rows differently from large ones once
+    Rows ``0..d-1`` hold ``-2·centersᵀ`` and the last row ``‖centers‖²``.
+    The array is C-contiguous. With a transposed view instead, OpenBLAS
+    rounds products of few rows differently from large ones once
     ``d >= 32``: up to 9 rows at K=128, 37 at K=32, 129 at K=8. With the
-    contiguous operand a row gets the same bits at any row count, and large
-    products equal the transposed view's.
+    contiguous operand a row gets the same bits at any row count.
     """
     centers = np.asarray(centers, dtype=np.float64)
-    neg2_t = np.ascontiguousarray(np.multiply(centers, -2.0).T)
-    return neg2_t, (centers * centers).sum(axis=1)
+    k, d = centers.shape
+    op = np.empty((d + 1, k))
+    np.multiply(centers.T, -2.0, op[:d])
+    (centers * centers).sum(axis=1, out=op[d])
+    return op
 
 
-def nearest_into(
-    x: np.ndarray, neg2_t: np.ndarray, c_sq: np.ndarray, out: np.ndarray
-) -> np.ndarray:
+def nearest_into(x: np.ndarray, op: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write the index of the nearest center of each row of ``x`` into ``out``.
 
-    ``x`` is ``(n, d)`` float64 and may be a strided view; ``out`` is an
-    ``(n,)`` intp array. The operands come from :func:`nearest_operands`.
-    Each tile is one GEMM into the distance block, an in-place add and an
-    argmin; ``||x||^2`` is constant per row and never formed.
+    ``x`` is ``(n, w)`` float64 with ``w <= d`` and may be a strided view;
+    ``op`` is the ``(d+1, K)`` operand of :func:`nearest_operands` and ``out``
+    an ``(n,)`` intp array. Each tile is copied into a ``(tile, d+1)`` buffer
+    whose last column is 1.0 and whose columns ``w..d-1`` stay zero (the
+    subspace padding), then one GEMM into the distance block and an argmin;
+    ``||x||^2`` is constant per row and never formed.
     """
-    n = x.shape[0]
-    dist = np.empty((min(max(n, 2), NEAREST_TILE), c_sq.shape[0]))
+    n, w = x.shape
+    d = op.shape[0] - 1
+    rows_buf = np.zeros((min(max(n, 2), NEAREST_TILE), d + 1))
+    rows_buf[:, d] = 1.0
+    cols = rows_buf[:, :w]
+    dist = np.empty((rows_buf.shape[0], op.shape[1]))
     for s in range(0, n, NEAREST_TILE):
         rows, dst = x[s : s + NEAREST_TILE], out[s : s + NEAREST_TILE]
-        if rows.shape[0] == 1:
+        m = rows.shape[0]
+        cols[:m] = rows
+        if m == 1:
             # A one-row product runs gemv, whose summation order differs from
             # gemm's; doubling the row keeps every row on the same arithmetic.
-            rows = np.concatenate((rows, rows))
-        block = dist[: rows.shape[0]]
-        rows.dot(neg2_t, block)
-        np.add(block, c_sq, block)
+            cols[1] = rows[0]
+            m = 2
+        block = dist[:m]
+        rows_buf[:m].dot(op, block)
         block[: dst.shape[0]].argmin(1, dst)
     return out
 
@@ -102,7 +117,7 @@ def nearest_into(
 def assign_nearest(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Index of the nearest center for every row of ``x`` (paper Eq. 7)."""
     x = np.asarray(x, dtype=np.float64)
-    return nearest_into(x, *nearest_operands(centers), np.empty(x.shape[0], dtype=np.intp))
+    return nearest_into(x, nearest_operands(centers), np.empty(x.shape[0], dtype=np.intp))
 
 
 def kmeans_fit(

@@ -6,10 +6,12 @@ Implements the training (Eqs. 5–6) and query (Eqs. 7–8) halves of PQ:
   subspaces of the input dimension, and encodes vectors to ``(n, C)`` index
   arrays with either exact nearest-prototype search (``encoder="exact"``) or
   the log2(K) hash tree (``encoder="hash"``). The exact encoder runs the
-  tiled kernel :func:`~repro.quantization.kmeans.nearest_into` on operands
-  the quantizer caches (:meth:`ProductQuantizer.exact_operands`); the
-  single-query fast path's ``EncodePlan`` takes the same operands, so a row
-  gets the same codes whether it is served alone or in a batch.
+  tiled kernel :func:`~repro.quantization.kmeans.nearest_into` on each
+  subspace's column slice of the unpadded input, with the fused operand the
+  quantizer caches (:meth:`ProductQuantizer.exact_operands`); the kernel's
+  zero columns do the subspace padding. The single-query fast path's
+  ``EncodePlan`` takes the same operands, so a row gets the same codes
+  whether it is served alone or in a batch.
 * :func:`build_weight_table` — precomputes prototype-times-weight dot products
   into a ``(C, K, D_out)`` table, optionally folding the bias into subspace 0
   (the paper's ``b_r`` trick, Eq. 10).
@@ -130,8 +132,9 @@ class ProductQuantizer:
         return self
 
     # ---------------------------------------------------------------- encode
-    def exact_operands(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-subspace ``(-2·Pᵀ, ‖P‖²)`` operands of the exact encoder.
+    def exact_operands(self) -> list[np.ndarray]:
+        """Per-subspace fused ``(subdim+1, K)`` operands of the exact encoder:
+        the rows ``-2·Pᵀ``, then ``‖P‖²`` (``kmeans.nearest_operands``).
 
         Built on first use and cached until ``prototypes`` is rebound, as
         ``fit`` and ``load_tabular_model`` do. They are derived data and are
@@ -162,14 +165,21 @@ class ProductQuantizer:
         squeeze = x2d.ndim == 1
         if squeeze:
             x2d = x2d[None, :]
-        subs = self._split(x2d)  # (C, n, V)
-        codes = np.empty(subs.shape[:2], dtype=np.intp)
         if self.encoder_kind == "hash":
+            subs = self._split(x2d)  # (C, n, V)
+            codes = np.empty(subs.shape[:2], dtype=np.intp)
             for c, tree in enumerate(self._hash_trees):
                 codes[c] = tree.encode(subs[c])
         else:
-            for c, (neg2_t, c_sq) in enumerate(self.exact_operands()):
-                nearest_into(subs[c], neg2_t, c_sq, codes[c])
+            width = x2d.shape[-1]
+            if width not in (self.dim, self.padded_dim):
+                raise ValueError(f"expected dim {self.dim}, got {width}")
+            codes = np.empty((self.n_subspaces, x2d.shape[0]), dtype=np.intp)
+            v = self.subdim
+            for c, op in enumerate(self.exact_operands()):
+                # The last subspace's slice may be narrower than ``subdim``;
+                # the kernel's zero columns pad it.
+                nearest_into(x2d[:, c * v : (c + 1) * v], op, codes[c])
         return codes[:, 0] if squeeze else codes.T
 
     def reconstruct(self, codes: np.ndarray) -> np.ndarray:

@@ -1,11 +1,11 @@
 """Fused single-query fast path through the hierarchy of tables.
 
 The generic ``query()`` path is shaped for throughput: it accepts any batch,
-pads and re-splits inputs per call (``np.pad`` allocates), and every kernel
-allocates its activations. At ``B = 1`` — the shape a real prefetcher serves,
+allocates its encode buffers per call, and every kernel allocates its
+activations. At ``B = 1`` — the shape a real prefetcher serves,
 one access at a time — that generality is almost pure overhead: profiling the
 bench geometry shows a single-row ``query()`` is dominated by NumPy *dispatch*
-(per-call padding, ``fromnumeric`` wrappers, view gymnastics, allocation), not
+(per-call buffers, ``fromnumeric`` wrappers, view gymnastics, allocation), not
 arithmetic; the arrays are tiny.
 
 This module compiles a **plan** for the one geometry streaming serves — the
@@ -25,15 +25,16 @@ model's fixed history length ``T`` — once, at build time:
 generic path's exact operation order or applies a transformation verified to
 be IEEE-754 exact:
 
-* encode takes its ``(-2·Pᵀ, ‖P‖²)`` operands from the quantizer
+* encode takes its fused ``[-2·Pᵀ; ‖P‖²]`` operands from the quantizer
   (``ProductQuantizer.exact_operands``), the same arrays the batch encode
   uses, and computes ``x·(-2·Pᵀ) + ‖P‖²`` the way the batch kernel
-  ``kmeans.nearest_into`` does: one ``ndarray.dot`` per subspace, then an
-  add and an argmin. The tiling of the batch path does not matter: with
-  the C-contiguous ``-2·Pᵀ`` operand, OpenBLAS gemm gives each output
-  element the same arithmetic at any row count (``tests/test_quantization.py``
-  pins it). A one-row product would go to gemv, whose summation order
-  differs, so a one-row plan (the head table's) computes a spare second row;
+  ``kmeans.nearest_into`` does: the split rows carry a column of ones, so
+  each subspace is one ``ndarray.dot`` and then one argmin covers all of
+  them. The tiling of the batch path does not matter: with the
+  C-contiguous operand, OpenBLAS gemm gives each output element the same
+  arithmetic at any row count (``tests/test_quantization.py`` pins it). A
+  one-row product would go to gemv, whose summation order differs, so a
+  one-row plan (the head table's) computes a spare second row;
 * matmuls run per subspace (batched 3-D matmuls are *not* slice-identical
   to 2-D ones for all shapes and are avoided);
 * ``mean``/``var`` decompose into the same ``np.add.reduce`` + divide
@@ -75,7 +76,7 @@ class EncodePlan:
 
     __slots__ = (
         "pq", "n", "kind", "pad", "x_pad", "subs", "subs_n", "sub_slices", "_mm",
-        "c_sq", "dist", "dist_n", "codes", "_view", "_view_src", "_dim_slice",
+        "dist_n", "codes", "_view", "_view_src", "_dim_slice",
     )
 
     def __init__(self, pq, n: int):
@@ -85,37 +86,34 @@ class EncodePlan:
         self.pad = pq.padded_dim != pq.dim
         c, k, v = pq.n_subspaces, pq.n_prototypes, pq.subdim
         # Padding columns stay zero forever; only the real columns are
-        # rewritten per query — this replaces the generic path's np.pad.
+        # rewritten per query, as the batch kernel's zero columns pad there.
         self.x_pad = np.zeros((self.n, pq.padded_dim)) if self.pad else None
         self._dim_slice = (slice(None), slice(0, pq.dim))
         # Contiguous per-subspace splits of at least two rows: a one-row
         # product would run gemv, not the gemm every batched row gets (see
         # ``kmeans.nearest_into``); a spare row is computed and ignored.
+        # The exact encoder's splits end in a column of ones, written once,
+        # that picks up the operand's ‖P‖² row.
         rows = max(self.n, 2)
-        self.subs = np.zeros((c, rows, v))
-        self.subs_n = self.subs[:, : self.n]
+        exact = self.kind == "exact"
+        self.subs = np.zeros((c, rows, v + 1 if exact else v))
+        if exact:
+            self.subs[:, :, v] = 1.0
+        self.subs_n = self.subs[:, : self.n, :v]
         self.sub_slices = [self.subs_n[ci] for ci in range(c)]
-        if self.kind == "exact":
-            operands = pq.exact_operands()
-            # ||P||² terms materialized at full (C, rows, K) shape: a
-            # same-shape add is measurably cheaper to dispatch than a
-            # broadcast add, and elementwise adds of equal values are
-            # bitwise-identical.
-            c_sq = np.stack([sq for _, sq in operands])[:, None, :]
-            self.c_sq = np.ascontiguousarray(np.broadcast_to(c_sq, (c, rows, k)))
-            self.dist = np.empty((c, rows, k))
-            self.dist_n = self.dist[:, : self.n]
-            #: per-subspace (input.dot, -2·Pᵀ, output) GEMM operands, the
-            #: -2·Pᵀ shared with the quantizer's batch encode; ``ndarray.dot``
-            #: reaches the same BLAS dgemm as ``np.matmul`` (verified
-            #: bitwise-identical) with far less dispatch overhead
+        if exact:
+            dist = np.empty((c, rows, k))
+            self.dist_n = dist[:, : self.n]
+            #: per-subspace (input.dot, operand, output) GEMM operands, the
+            #: operand shared with the quantizer's batch encode;
+            #: ``ndarray.dot`` reaches the same BLAS dgemm as ``np.matmul``
+            #: (verified bitwise-identical) with far less dispatch overhead
             self._mm = [
-                (self.subs[ci].dot, neg2_t, self.dist[ci])
-                for ci, (neg2_t, _) in enumerate(operands)
+                (self.subs[ci].dot, op, dist[ci])
+                for ci, op in enumerate(pq.exact_operands())
             ]
         else:
-            self.c_sq = None
-            self.dist = self.dist_n = None
+            self.dist_n = None
             self._mm = None
         self.codes = np.empty((c, self.n), dtype=np.intp)
         # The (n, C, V) split view is cached keyed on source-buffer identity:
@@ -145,11 +143,10 @@ class EncodePlan:
         np.copyto(self.subs_n, view)
         codes = self.codes
         if self.kind == "exact":
-            for dot, neg2_t, dst in self._mm:
-                dot(neg2_t, dst)
-            # Elementwise add and argmin are value-exact at any batching:
-            # one call covers every subspace.
-            np.add(self.dist, self.c_sq, self.dist)
+            for dot, op, dst in self._mm:
+                dot(op, dst)
+            # argmin is value-exact at any batching: one call covers every
+            # subspace.
             self.dist_n.argmin(2, codes)
         else:
             for c, tree in enumerate(self.pq._hash_trees):
@@ -422,16 +419,15 @@ class _MSAPlan:
 
 
 class _LayerNormPlan:
-    """In-place LayerNorm over a fixed ``(n, D)`` shape.
+    """:meth:`LayerNormOp.query_into` on fixed ``(n, D)`` buffers.
 
-    Decomposes ``x.mean`` / ``x.var`` into the exact ``np.add.reduce`` +
-    divide sequences NumPy's ``_methods._mean`` / ``_var`` run (bitwise
-    identical, without their per-call Python overhead), then applies the same
-    ``(x - mean) / sqrt(var + eps) * gamma + beta`` op order as
-    :meth:`LayerNormOp.query`.
+    That sequence is the ``np.add.reduce`` + divide steps NumPy's
+    ``_methods._mean`` / ``_var`` run (bitwise identical, without their
+    per-call Python overhead), with ``x - mean`` formed once for the variance
+    and the numerator.
     """
 
-    __slots__ = ("op", "inv_n", "mean", "var", "sq", "out")
+    __slots__ = ("op", "mean", "var", "sq", "out")
 
     def __init__(self, op, n: int):
         self.op = op
@@ -441,20 +437,7 @@ class _LayerNormPlan:
         self.out = np.empty((n, op.dim))
 
     def run(self, x2d: np.ndarray) -> np.ndarray:
-        op, out, var = self.op, self.out, self.var
-        d = op.dim
-        np.add.reduce(x2d, axis=1, keepdims=True, out=self.mean)
-        np.true_divide(self.mean, d, out=self.mean)
-        np.subtract(x2d, self.mean, out)  # LN numerator; reused for var
-        np.multiply(out, out, self.sq)
-        np.add.reduce(self.sq, axis=1, keepdims=True, out=var)
-        np.true_divide(var, d, out=var)
-        np.add(var, op.eps, var)
-        np.sqrt(var, var)
-        np.true_divide(out, var, out)
-        np.multiply(out, op.gamma, out)
-        np.add(out, op.beta, out)
-        return out
+        return self.op.query_into(x2d, self.mean, self.var, self.sq, self.out)
 
 
 class _EncoderLayerPlan:

@@ -27,33 +27,42 @@ class LayerNormOp:
         return cls(layer.gamma.value, layer.beta.value, layer.eps)
 
     def query(self, x: np.ndarray) -> np.ndarray:
-        mean = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        return (x - mean) / np.sqrt(var + self.eps) * self.gamma + self.beta
+        x = np.asarray(x, dtype=np.float64)
+        stat = x.shape[:-1] + (1,)
+        return self.query_into(
+            x, np.empty(stat), np.empty(stat), np.empty_like(x), np.empty_like(x)
+        )
 
     def query_into(
         self,
         x: np.ndarray,
         mean_scratch: np.ndarray,
         var_scratch: np.ndarray,
+        sq_scratch: np.ndarray,
         out: np.ndarray,
     ) -> np.ndarray:
-        """Allocation-free :meth:`query` for the single-query fast path.
+        """``(x - mean) / sqrt(var + eps) * gamma + beta`` into ``out``.
 
-        ``mean_scratch``/``var_scratch`` are ``(..., 1)`` keepdims buffers and
-        ``out`` matches ``x``; all are caller-preallocated and reused across
-        calls. The op sequence decomposes :meth:`query`'s expression exactly —
-        ``((x - mean) / sqrt(var + eps)) * gamma + beta`` — so the result is
-        bit-identical.
+        ``mean_scratch``/``var_scratch`` are ``(..., 1)`` keepdims buffers;
+        ``sq_scratch`` and ``out`` match ``x``. The mean and variance run the
+        ``np.add.reduce`` + divide sequences of NumPy's ``x.mean`` /
+        ``x.var``, with ``x - mean`` formed once and reused for the variance
+        and the numerator, so the result is bitwise that expression's. The
+        fast path's ``_LayerNormPlan`` calls it on fixed buffers.
         """
-        np.mean(x, axis=-1, keepdims=True, out=mean_scratch)
-        np.var(x, axis=-1, keepdims=True, out=var_scratch)
-        np.subtract(x, mean_scratch, out=out)
-        np.add(var_scratch, self.eps, out=var_scratch)
-        np.sqrt(var_scratch, out=var_scratch)
-        np.divide(out, var_scratch, out=out)
-        np.multiply(out, self.gamma, out=out)
-        np.add(out, self.beta, out=out)
+        d = x.shape[-1]
+        mean, var = mean_scratch, var_scratch
+        np.add.reduce(x, axis=-1, keepdims=True, out=mean)
+        np.true_divide(mean, d, mean)
+        np.subtract(x, mean, out)  # the numerator, reused for the variance
+        np.multiply(out, out, sq_scratch)
+        np.add.reduce(sq_scratch, axis=-1, keepdims=True, out=var)
+        np.true_divide(var, d, var)
+        np.add(var, self.eps, var)
+        np.sqrt(var, var)
+        np.true_divide(out, var, out)
+        np.multiply(out, self.gamma, out)
+        np.add(out, self.beta, out)
         return out
 
     @property

@@ -16,7 +16,8 @@ from repro.quantization import (
     pairwise_prototype_table,
 )
 from repro.quantization import kmeans as kmeans_mod
-from repro.quantization.kmeans import NEAREST_TILE
+from repro.quantization.kmeans import NEAREST_TILE, nearest_into, nearest_operands
+from repro.tabularization.fastpath import EncodePlan
 
 
 def _clustered_data(rng, n=600, d=8, k=4, spread=0.05):
@@ -256,11 +257,98 @@ def test_exact_operands_give_row_count_invariant_products(rng, subdim):
     the batch encode's tail tile and the fast path's T-row plans rely on it."""
     pq = ProductQuantizer(2 * subdim, 2, 128)
     pq.prototypes = rng.standard_normal((2, 128, subdim))
-    x = rng.standard_normal((NEAREST_TILE, subdim))
-    for neg2_t, _ in pq.exact_operands():
-        full = x.dot(neg2_t)
+    x = np.ones((NEAREST_TILE, subdim + 1))  # rows carry the ones column
+    x[:, :subdim] = rng.standard_normal((NEAREST_TILE, subdim))
+    for op in pq.exact_operands():
+        assert op.shape == (subdim + 1, 128) and op.flags.c_contiguous
+        full = x.dot(op)
         for m in (*range(2, 18), 32, 33, NEAREST_TILE - 1):
-            assert np.array_equal(x[:m].dot(neg2_t), full[:m]), f"{m} rows"
+            assert np.array_equal(x[:m].dot(op), full[:m]), f"{m} rows"
+
+
+def _two_pass_nearest(x, centers):
+    """The two-pass kernel the fused operand replaced: per tile, one product
+    with ``-2·Pᵀ``, a separate add of ``‖P‖²``, then the argmin."""
+    neg2_t = np.ascontiguousarray(np.multiply(centers, -2.0).T)
+    c_sq = (centers * centers).sum(axis=1)
+    padded = np.zeros((x.shape[0], centers.shape[1]))
+    padded[:, : x.shape[1]] = x
+    codes = []
+    for s in range(0, x.shape[0], NEAREST_TILE):
+        rows = padded[s : s + NEAREST_TILE]
+        m = rows.shape[0]
+        if m == 1:
+            rows = np.concatenate((rows, rows))
+        block = rows.dot(neg2_t)
+        np.add(block, c_sq, block)
+        codes.append(block[:m].argmin(1))
+    return np.concatenate(codes)
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 128, 511, 512])
+@pytest.mark.parametrize("k", [16, 128])
+@pytest.mark.parametrize("width", [3, 8, 16, 32])
+def test_fused_distance_block_bitwise_equals_product_then_add(width, k, n):
+    """The kernel's exactness rests on gemm summing the d+1 products of an
+    element in order into one accumulator, so the last product ``1.0·‖P‖²``
+    rounds ``acc + ‖P‖²`` as the separate add did. A BLAS that splits the
+    sum or reorders it changes the distances' last bits and fails here,
+    before a code flips."""
+    rng = np.random.default_rng(width * 7 + k + n)
+    centers = rng.standard_normal((k, width)) * 4.0
+    x = rng.standard_normal((n, width))
+    op = nearest_operands(centers)
+    rows = np.ones((n, width + 1))
+    rows[:, :width] = x
+    two_pass = x.dot(op[:width].copy())
+    np.add(two_pass, op[width], two_pass)
+    assert np.array_equal(rows.dot(op), two_pass)
+
+
+@pytest.mark.parametrize("n", [1, 2, 511, 512, 513, 2049])
+@pytest.mark.parametrize("k", [16, 128])
+@pytest.mark.parametrize("width, dim, c", [(3, 6, 2), (8, 16, 2), (16, 32, 2),
+                                           (32, 64, 2), (3, 5, 2)])
+def test_fused_nearest_equals_two_pass_reference(width, dim, c, k, n):
+    """The fused one-GEMM kernel gives the two-pass kernel's codes, and the
+    untiled formula's, for plain and padded quantizers (dim 5 over C=2 pads
+    its last subspace from 2 columns to 3)."""
+    rng = np.random.default_rng(width * 1000 + k + n)
+    pq = ProductQuantizer(dim, c, k)
+    assert pq.subdim == width
+    pq.prototypes = rng.standard_normal((c, k, width))
+    x = rng.standard_normal((n, dim))
+    codes = pq.encode(x)
+    assert np.array_equal(codes, _untiled_encode(pq, x))
+    for ci, (op, centers) in enumerate(zip(pq.exact_operands(), pq.prototypes)):
+        cols = x[:, ci * width : (ci + 1) * width]
+        ref = _two_pass_nearest(cols, centers)
+        assert np.array_equal(codes[:, ci], ref)
+        got = nearest_into(cols, op, np.empty(n, dtype=np.intp))
+        assert np.array_equal(got, ref)
+        assert np.array_equal(nearest_into(cols, nearest_operands(centers),
+                                           np.empty(n, dtype=np.intp)), ref)
+    with pytest.raises(ValueError, match=f"expected dim {dim}"):
+        pq.encode(rng.standard_normal((n, pq.padded_dim + 1)))
+
+
+@pytest.mark.parametrize("width", [8, 16, 32])
+def test_one_row_encode_equals_batched_on_near_ties(width):
+    """A one-row product through gemv rounds differently from gemm; on rows
+    almost equidistant from two prototypes that flips codes. The kernel's
+    doubled row and the fast path's spare row keep one-row encodes on gemm."""
+    rng = np.random.default_rng(width)
+    pq = ProductQuantizer(width, 1, 16)
+    pq.prototypes = rng.standard_normal((1, 16, width))
+    p = pq.prototypes[0]
+    i, j = rng.integers(16, size=(2, 400))
+    i, j = i[i != j], j[i != j]
+    x = (p[i] + p[j]) / 2 + 1e-15 * rng.standard_normal((i.size, width))
+    batched = pq.encode(x)[:, 0]
+    plan = EncodePlan(pq, 1)
+    for row, want in zip(x, batched):
+        assert pq.encode(row[None])[0, 0] == want
+        assert plan.encode(row[None])[0, 0] == want
 
 
 def test_tiled_encode_memory_stays_below_one_distance_matrix():

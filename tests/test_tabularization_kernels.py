@@ -165,3 +165,25 @@ def test_layernorm_op_matches_nn_layer(rng):
     x = rng.standard_normal((10, 8))
     assert np.allclose(op.query(x), ln.forward(x))
     assert op.storage_bits == 2 * 8 * 32
+
+
+def _layernorm_reference(op, x):
+    """The two-mean expression ``LayerNormOp.query`` used to evaluate."""
+    return (x - x.mean(-1, keepdims=True)) / np.sqrt(
+        x.var(-1, keepdims=True) + op.eps
+    ) * op.gamma + op.beta
+
+
+@pytest.mark.parametrize("d", [8, 32, 33, 129])  # 129 crosses the pairwise block
+@pytest.mark.parametrize("lead", [(10,), (3, 16)])
+def test_layernorm_op_bitwise_equals_reference_expression(d, lead):
+    rng = np.random.default_rng(d)
+    op = LayerNormOp(rng.standard_normal(d), rng.standard_normal(d), eps=1e-5)
+    x = rng.standard_normal((*lead, d)) * 3.0 + 0.5
+    ref = _layernorm_reference(op, x)
+    assert np.array_equal(op.query(x), ref)
+    stat = (*lead, 1)
+    out = np.empty_like(x)
+    got = op.query_into(x, np.empty(stat), np.empty(stat), np.empty_like(x), out)
+    assert got is out
+    assert np.array_equal(out, ref)
