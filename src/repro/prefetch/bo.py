@@ -38,12 +38,20 @@ def michaud_offsets(limit: int = 256, negatives: bool = True) -> list[int]:
 
 
 class _BOState:
-    """Tournament and recent-requests state (one instance per replay/stream)."""
+    """Tournament and recent-requests state (one instance per replay/stream).
 
-    __slots__ = ("scores", "test_idx", "rounds", "best_offset", "prefetch_on", "rr", "pending")
+    ``scores`` is per offset-list position. ``lead``/``lead_score`` track the
+    tournament's current argmax the way ``max(scores)`` would pick it: the
+    highest score, the earliest offset among equals.
+    """
+
+    __slots__ = ("scores", "lead", "lead_score", "test_idx", "rounds", "best_offset",
+                 "prefetch_on", "rr", "pending")
 
     def __init__(self, offsets: list[int]):
-        self.scores = dict.fromkeys(offsets, 0)
+        self.scores = [0] * len(offsets)
+        self.lead = 0
+        self.lead_score = 0
         self.test_idx = 0  # which offset the tournament is currently testing
         self.rounds = 0
         self.best_offset = 1  # initial guess: next-line
@@ -83,7 +91,6 @@ class BestOffsetPrefetcher(SequentialPrefetcher):
     def step(self, state: _BOState, pc: int, block: int, index: int) -> list[int]:
         x = block
         rr = state.rr
-        scores = state.scores
         # Complete delayed RR insertions.
         while state.pending and state.pending[0][0] <= index:
             _, blk = state.pending.pop(0)
@@ -92,19 +99,22 @@ class BestOffsetPrefetcher(SequentialPrefetcher):
             rr[blk] = None
             if len(rr) > self.rr_size:
                 rr.pop(next(iter(rr)))
-        # Learning step: test the current offset against this trigger.
-        off = self.offsets[state.test_idx]
-        if (x - off) in rr:
-            scores[off] += 1
+        # Learning step: test the current offset against this trigger. Only
+        # this offset's score moves, so it alone can take the lead.
+        i = state.test_idx
+        if (x - self.offsets[i]) in rr:
+            score = state.scores[i] = state.scores[i] + 1
+            if score > state.lead_score or (score == state.lead_score and i < state.lead):
+                state.lead, state.lead_score = i, score
         state.test_idx += 1
         if state.test_idx == len(self.offsets):
             state.test_idx = 0
             state.rounds += 1
-        winner = max(scores, key=lambda o: scores[o])
-        if scores[winner] >= self.score_max or state.rounds >= self.round_max:
-            state.best_offset = winner
-            state.prefetch_on = scores[winner] > self.bad_score
-            state.scores = dict.fromkeys(self.offsets, 0)
+        if state.lead_score >= self.score_max or state.rounds >= self.round_max:
+            state.best_offset = self.offsets[state.lead]
+            state.prefetch_on = state.lead_score > self.bad_score
+            state.scores = [0] * len(self.offsets)
+            state.lead = state.lead_score = 0
             state.rounds = 0
         # Issue prefetches with the current best offset.
         out: list[int] = []

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.data.dataset import PreprocessConfig
 from repro.prefetch.base import Prefetcher
-from repro.prefetch.nn_prefetcher import model_prefetch_lists
+from repro.prefetch.nn_prefetcher import head_code_prefetch_lists
 from repro.tabularization.tabular_model import TabularAttentionPredictor
 from repro.traces.trace import MemoryTrace
 
@@ -53,9 +53,9 @@ class DARTPrefetcher(Prefetcher):
         self.storage_bytes = float(predictor.storage_bytes())
 
     def prefetch_lists(self, trace: MemoryTrace) -> list[list[int]]:
-        return model_prefetch_lists(
+        return head_code_prefetch_lists(
             trace,
-            self.predictor.predict_proba,
+            self.predictor,
             self.config,
             threshold=self.threshold,
             max_degree=self.max_degree,

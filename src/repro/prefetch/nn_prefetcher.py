@@ -100,9 +100,9 @@ def decode_bitmap_probs(
 
     ``probs`` is ``(n, 2R)``; ``anchors`` the ``(n,)`` block addresses the
     deltas are relative to. This is the single decode implementation shared by
-    the whole-trace batch path (:func:`model_prefetch_lists`) and the
-    streaming micro-batcher — sharing it is what keeps the two serving paths
-    bit-identical.
+    the whole-trace batch paths (:func:`model_prefetch_lists`,
+    :func:`head_code_prefetch_lists`) and the streaming micro-batcher —
+    sharing it is what keeps the serving paths bit-identical.
 
     ``decode`` selects which of the above-threshold bits become prefetches
     when more than ``max_degree`` qualify:
@@ -173,6 +173,48 @@ def model_prefetch_lists(
     anchors = ba[t_hist - 1 : t_hist - 1 + probs.shape[0]]
     decoded = decode_bitmap_probs(probs, anchors, threshold, max_degree, decode)
     out[t_hist - 1 : t_hist - 1 + len(decoded)] = decoded
+    return out
+
+
+def head_code_prefetch_lists(
+    trace: MemoryTrace,
+    predictor,
+    config: PreprocessConfig,
+    threshold: float = 0.5,
+    max_degree: int = 2,
+    batch_size: int = 1024,
+    decode: str = "distance",
+) -> list[list[int]]:
+    """:func:`model_prefetch_lists` for a table predictor, each step done once.
+
+    ``predictor`` is a :class:`~repro.tabularization.tabular_model.
+    TabularAttentionPredictor`. Each access is segmented and embedded once
+    (``predict_head_codes``). A window's probability row is a function of
+    its head code row alone, and :func:`decode_bitmap_probs` reads only that
+    row and adds the anchor last. So each distinct code row is decoded once,
+    at anchor 0, and every window emits its anchor plus its row's deltas.
+    The lists equal ``model_prefetch_lists(trace, predictor.predict_proba,
+    …)`` for any K and C.
+    """
+    t_hist = config.history_len
+    ba = block_address(trace.addrs)
+    n = len(ba)
+    out: list[list[int]] = [[] for _ in range(n)]
+    if n < t_hist:
+        return out
+    seg = config.segmenter()
+    codes = predictor.predict_head_codes(
+        seg.segment_block_addresses(ba), seg.segment_pcs(trace.pcs), batch_size=batch_size
+    )
+    rows, inverse = np.unique(codes, axis=0, return_inverse=True)
+    deltas = decode_bitmap_probs(
+        predictor.head_proba(rows), np.zeros(len(rows), dtype=np.int64),
+        threshold, max_degree, decode,
+    )
+    anchors = ba[t_hist - 1 :].tolist()
+    out[t_hist - 1 :] = [
+        [a + d for d in deltas[j]] for a, j in zip(anchors, inverse.reshape(-1).tolist())
+    ]
     return out
 
 

@@ -203,13 +203,32 @@ class TabularAttentionPredictor:
         self.model_config = model_config
         self.table_config = table_config
 
+    def __getstate__(self) -> dict:
+        # The cached fast path's bound GEMM calls point into this object's
+        # buffers, so a copy or an unpickled model must build its own.
+        state = self.__dict__.copy()
+        state.pop("_fast_path", None)
+        return state
+
     # ------------------------------------------------------------------ query
-    def query_logits(self, x_addr: np.ndarray, x_pc: np.ndarray) -> np.ndarray:
-        h = self.addr_table.query(x_addr) + self.pc_table.query(x_pc)
+    def embed(self, x_addr: np.ndarray, x_pc: np.ndarray) -> np.ndarray:
+        """Input embedding ``addr_table(x_addr) + pc_table(x_pc)``, any leading shape.
+
+        Row-local and position-free (positional encoding is added after it),
+        so an access's embedding has the same bits in every window that
+        holds it.
+        """
+        return self.addr_table.query(x_addr) + self.pc_table.query(x_pc)
+
+    def _pooled(self, h: np.ndarray) -> np.ndarray:
+        """Embedded ``(B, T, D)`` windows -> pooled ``(B, D)`` head inputs."""
         h = self.ln_in.query(self.pos.apply_inference(h))
         for layer in self.layers:
             h = layer.query(h)
-        return self.head_table.query(h.mean(axis=-2))
+        return h.mean(axis=-2)
+
+    def query_logits(self, x_addr: np.ndarray, x_pc: np.ndarray) -> np.ndarray:
+        return self.head_table.query(self._pooled(self.embed(x_addr, x_pc)))
 
     def query(self, x_addr: np.ndarray, x_pc: np.ndarray) -> np.ndarray:
         """Delta-bitmap probabilities via the sigmoid LUT."""
@@ -272,34 +291,75 @@ class TabularAttentionPredictor:
             raise ValueError(
                 f"out must have shape {(n, self.model_config.bitmap_size)}, got {out.shape}"
             )
+        self._chunks(
+            n, batch_size,
+            lambda s, e: self.embed(x_addr[s:e], x_pc[s:e]),
+            lambda s, e, codes: self.head_proba(codes, out[s:e]),
+        )
+        return out
+
+    def predict_head_codes(
+        self, acc_addr: np.ndarray, acc_pc: np.ndarray, batch_size: int = 512
+    ) -> np.ndarray:
+        """Head code rows of every full window over a run of accesses.
+
+        ``acc_addr``/``acc_pc`` are per-access features ``(n, S)`` /
+        ``(n, S_pc)``. Each access is embedded once and the ``n − T + 1``
+        windows are sliding views of that embedding, which gives the same bits
+        as embedding every window (:meth:`embed` is row-local). Returns the
+        ``(n − T + 1, C_out)`` head codes, row ``i`` for the window ending at
+        access ``i + T − 1``; ``head_proba`` of a row equals that window's
+        :meth:`predict_proba` row. Chunks and pooling as in
+        :meth:`predict_proba`.
+        """
+        t = self.model_config.history_len
+        n = max(acc_addr.shape[0] - t + 1, 0)
+        codes = np.empty((n, self.head_table.n_subspaces), dtype=np.intp)
+        if n == 0:
+            return codes
+        emb = self.embed(acc_addr, acc_pc)  # (n + T - 1, D)
+        windows = np.lib.stride_tricks.sliding_window_view(emb, t, axis=0).transpose(0, 2, 1)
+
+        def keep(s, e, chunk):
+            codes[s:e] = chunk
+
+        self._chunks(n, batch_size, lambda s, e: windows[s:e], keep)
+        return codes
+
+    def head_proba(self, codes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Probabilities of given ``(n, C_out)`` head code rows: gather, sum, sigmoid LUT."""
+        logits = lookup_aggregate(self.head_table.table, codes)
+        if out is None:
+            out = np.empty_like(logits)
+        idx = np.empty(logits.shape, dtype=np.int64)
+        return self.sigmoid.query_into(logits, np.empty_like(logits), idx, out)
+
+    def _chunks(self, n, batch_size, windows, finish):
+        """Run the trunk to head codes over ``n`` rows, ``batch_size`` at a time.
+
+        ``windows(s, e)`` gives the embedded ``(e − s, T, D)`` windows of rows
+        ``s:e`` and ``finish(s, e, codes)`` takes their head codes. A call of
+        more than one ``batch_size`` chunk spreads its rows over the
+        :mod:`~repro.tabularization.rowpool` workers (see :meth:`predict_proba`).
+        """
         task = rowpool.TASK_ROWS
         m = min(rowpool.workers(), batch_size // task) if n > batch_size >= 2 * task else 0
         if m >= 2:
-            rowpool.run(
-                lambda j: self._predict_chunks(x_addr, x_pc, out, j * task, m * task, task), m
-            )
+            rowpool.run(lambda j: self._run_chunks(n, windows, finish, j * task, m * task, task), m)
         else:
-            self._predict_chunks(x_addr, x_pc, out, 0, batch_size, batch_size)
-        return out
+            self._run_chunks(n, windows, finish, 0, batch_size, batch_size)
 
-    def _predict_chunks(self, x_addr, x_pc, out, start, step, rows):
-        """Probabilities of the ``rows``-row chunks at ``start``, ``start + step``, …"""
-        # The sigmoid LUT writes each chunk's probabilities straight into the
-        # out slice (no per-chunk allocate-then-copy); the bin scratch is
-        # reused across chunks (reallocated once for a short final chunk).
-        f_scratch = idx_scratch = None
-        for s in range(start, x_addr.shape[0], step):
-            logits = self.query_logits(x_addr[s : s + rows], x_pc[s : s + rows])
-            if f_scratch is None or f_scratch.shape != logits.shape:
-                f_scratch = np.empty_like(logits)
-                idx_scratch = np.empty(logits.shape, dtype=np.int64)
-            self.sigmoid.query_into(logits, f_scratch, idx_scratch, out[s : s + rows])
+    def _run_chunks(self, n, windows, finish, start, step, rows):
+        """The ``rows``-row chunks at ``start``, ``start + step``, … of :meth:`_chunks`."""
+        head = self.head_table.pq
+        for s in range(start, n, step):
+            e = min(s + rows, n)
+            finish(s, e, head.encode(self._pooled(windows(s, e))))
 
     def layer_outputs(self, x_addr: np.ndarray, x_pc: np.ndarray) -> dict[str, np.ndarray]:
         """Named checkpoint activations (keys match ``trunk_activations``)."""
         acts: dict[str, np.ndarray] = {}
-        h = self.addr_table.query(x_addr) + self.pc_table.query(x_pc)
-        h = self.ln_in.query(self.pos.apply_inference(h))
+        h = self.ln_in.query(self.pos.apply_inference(self.embed(x_addr, x_pc)))
         acts["embed"] = h
         for i, layer in enumerate(self.layers):
             a = layer.msa.query(h)

@@ -9,6 +9,8 @@ equality with ``np.array_equal``, not allclose.
 
 from __future__ import annotations
 
+import copy
+import pickle
 import sys
 
 import numpy as np
@@ -54,6 +56,21 @@ def test_fast_path_is_cached(tab):
     fp = tab.fast_path()
     assert isinstance(fp, SingleQueryFastPath)
     assert tab.fast_path() is fp
+
+
+@pytest.mark.parametrize("clone", ["deepcopy", "pickle"])
+def test_copy_of_served_model_builds_its_own_fast_path(tab, queries, clone):
+    """A copy taken after ``query1`` must not carry the original's plan,
+    whose bound GEMM calls point into the original's scratch."""
+    xa, xp = queries
+    tab.query1(xa[0], xp[0])
+    twin = copy.deepcopy(tab) if clone == "deepcopy" else pickle.loads(pickle.dumps(tab))
+    assert "_fast_path" not in vars(twin)
+    rng = np.random.default_rng(5)
+    for i in rng.choice(len(xa), 3, replace=False):
+        want = twin.predict_proba(xa[i : i + 1], xp[i : i + 1])[0]
+        assert np.array_equal(twin.query1(xa[i], xp[i]), want), f"row {i} diverged"
+    assert twin.fast_path() is not tab.fast_path()
 
 
 def test_query_into_steady_state_allocates_nothing(tab, queries):

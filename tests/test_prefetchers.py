@@ -68,6 +68,80 @@ def test_bo_turns_off_on_random():
     assert empty_frac > 0.5
 
 
+def _max_reference_lists(bo, blocks):
+    """BO with the winner taken by ``max(scores, key=...)`` on every access.
+
+    Also returns, per concluded tournament, how many offsets shared the top
+    score and what that score was, so a fuzz can show it reached ties and
+    all-zero rounds.
+    """
+    scores = dict.fromkeys(bo.offsets, 0)
+    test_idx = rounds = 0
+    best, on = 1, True
+    rr, pending, out, decisions = {}, [], [], []
+    for index, x in enumerate(blocks):
+        while pending and pending[0][0] <= index:
+            _, blk = pending.pop(0)
+            rr.pop(blk, None)
+            rr[blk] = None
+            if len(rr) > bo.rr_size:
+                rr.pop(next(iter(rr)))
+        off = bo.offsets[test_idx]
+        if (x - off) in rr:
+            scores[off] += 1
+        test_idx += 1
+        if test_idx == len(bo.offsets):
+            test_idx = 0
+            rounds += 1
+        winner = max(scores, key=lambda o: scores[o])
+        if scores[winner] >= bo.score_max or rounds >= bo.round_max:
+            top = scores[winner]
+            decisions.append((sum(v == top for v in scores.values()), top))
+            best, on = winner, top > bo.bad_score
+            scores = dict.fromkeys(bo.offsets, 0)
+            rounds = 0
+        out.append([x + best * d for d in range(1, bo.degree + 1)] if on else [])
+        pending.append((index + bo.rr_delay, x))
+    return out, decisions
+
+
+def _fuzzed_walk(rng, n):
+    """Strided runs (several strides, both directions) between random jumps
+    and stretches of unrelated blocks, where no offset scores."""
+    blocks, x = [], 1 << 20
+    while len(blocks) < n:
+        if rng.random() < 0.25:
+            blocks += [int(b) for b in rng.integers(1 << 30, 1 << 40, size=rng.integers(200, 1200))]
+            continue
+        stride = int(rng.choice([1, 2, 3, 4, 6, -1, -2, -5]))
+        for _ in range(int(rng.integers(20, 400))):
+            x += stride
+            blocks.append(x)
+        x += int(rng.integers(-4096, 4096))
+    return blocks[:n]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_bo_running_leader_matches_max_reference(seed):
+    rng = np.random.default_rng(seed)
+    bo = BestOffsetPrefetcher(score_max=int(rng.integers(2, 8)),
+                              round_max=int(rng.integers(1, 4)), degree=int(rng.integers(1, 3)))
+    blocks = _fuzzed_walk(rng, 6000)
+    want, decisions = _max_reference_lists(bo, blocks)
+    assert any(ties > 1 and top > 0 for ties, top in decisions), "no tied tournament"
+    assert any(top == 0 for _, top in decisions), "no all-zero tournament"
+    state = bo.reset_state()
+    got = []
+    for i, x in enumerate(blocks):
+        got.append(bo.step(state, 0, x, i))
+        top = max(state.scores)
+        assert (state.lead, state.lead_score) == (state.scores.index(top), top)
+    assert got == want
+    trace = MemoryTrace(np.arange(1, len(blocks) + 1), np.zeros(len(blocks), dtype=np.int64),
+                        np.asarray(blocks, dtype=np.int64) << 6)
+    assert bo.prefetch_lists(trace) == want
+
+
 def test_isb_learns_temporal_stream():
     ph = PointerChasePhase(0, 64, 10_000, pc=0x10, seed=1)
     tr = compose_trace([(ph, 640)], seed=0)

@@ -97,13 +97,13 @@ def test_task_error_reaches_the_caller(monkeypatch):
     xa, xp = _inputs(model, 1007)
     calls = []
 
-    def failing(x):
-        calls.append(x.shape[0])
+    def failing(codes, out=None):
+        calls.append(codes.shape[0])
         if len(calls) == 3:
             raise RuntimeError("boom")
-        return tabular_model.TabularLinear.query(model.head_table, x)
+        return tabular_model.TabularAttentionPredictor.head_proba(model, codes, out)
 
-    monkeypatch.setattr(model.head_table, "query", failing)
+    monkeypatch.setattr(model, "head_proba", failing)
     with pytest.raises(RuntimeError, match="boom"):
         model.predict_proba(xa, xp, batch_size=256)
 
