@@ -47,7 +47,12 @@ import numpy as np
 from repro.data.dataset import PreprocessConfig
 from repro.prefetch.nn_prefetcher import SingleRowDecoder, decode_bitmap_probs
 from repro.runtime.streaming import Emission, StreamingPrefetcher
+from repro.tabularization.transitions import CodeMapCache
 from repro.utils.bits import block_address
+
+#: Head code tuples the single-query emission memo holds before it is cleared
+#: (a K=128, C=2 head has 16,384).
+EMISSION_MEMO_TUPLES = 16_384
 
 
 def resolve_predictor(model, config: PreprocessConfig):
@@ -309,6 +314,10 @@ class _FlushPath:
             ):  # geometry-incompatible plan: serve generically
                 fast = None
         self._fast = fast
+        #: head code tuple -> deltas of the k == 1 path: it belongs to this
+        #: install's decode policy, and is rebuilt when the head or sigmoid
+        #: table it was decoded from is rebound
+        self._emissions = CodeMapCache()
         self.swaps += 1
         if version is not None:
             self.model_version = version
@@ -331,20 +340,29 @@ class _FlushPath:
             # Single-query dispatch: the window for seq is a *contiguous*
             # slice of the mirrored ring (rows r+cap-T+1 .. r+cap), so it
             # feeds the fused plan as a view — no gather, no batch predict.
-            # Bit-identity with the generic path is pinned by the
-            # serving-conformance matrix.
+            # Its deltas are a function of its head codes, so each distinct
+            # head tuple is decoded once, at anchor 0, and each query adds
+            # its own anchor. Bit-identity with the generic path is pinned
+            # by the serving-conformance matrix.
             for state, pend in groups:
                 if pend:
                     break
             cap = state.cap
             r = pend[0] % cap
             lo = r + cap - t + 1
-            self._fast.query_into(
-                state.addr_ring[lo : lo + t],
-                state.pc_ring[lo : lo + t],
-                self._probs[:1],
-            )
-            lists = [self._decode1.decode1(self._probs[0], state.anchors[r])]
+            fast = self._fast
+            codes = fast.head_codes(state.addr_ring[lo : lo + t], state.pc_ring[lo : lo + t])
+            model = fast.model
+            memo = self._emissions.get((model.head_table.table, model.sigmoid.table), dict)
+            key = codes.tobytes()
+            deltas = memo.get(key)
+            if deltas is None:
+                if len(memo) >= EMISSION_MEMO_TUPLES:
+                    memo.clear()
+                fast.head_proba_into(codes, self._probs[:1])
+                deltas = memo[key] = tuple(self._decode1.decode1(self._probs[0], 0))
+            anchor = int(state.anchors[r])
+            lists = [[anchor + d for d in deltas]]
             self.fast_path_flushes += 1
         else:
             offset = 0

@@ -46,7 +46,17 @@ be IEEE-754 exact:
   same maps the generic path uses. A plan decides at construction whether a
   site is mapped (a shape check against ``MAX_SOURCE_TUPLES``) but asks the
   site for its map on every query, so the map is built on the first query,
-  not with the plan.
+  not with the plan;
+* the input stage (embedding, positional add, ``ln_in``, the first QKV
+  encode) is gathered from a per-plan input map keyed on each access's code
+  tuple and filled through the generic ops (see
+  :class:`SingleQueryFastPath`).
+
+:meth:`SingleQueryFastPath.head_codes` stops at the head's codes, so a caller
+that memoizes what it derives from them (the serving flush path's emission
+memo) runs the head gather and sigmoid only for a new code tuple;
+:meth:`~SingleQueryFastPath.query_into` is ``head_codes`` then
+``head_proba_into``.
 
 ``tests/test_fastpath.py`` pins ``query1 == query`` bitwise; the
 serving-conformance matrix pins the whole serving stack on top of it.
@@ -54,16 +64,24 @@ serving-conformance matrix pins the whole serving stack on top of it.
 Hot model swaps replace the plan (``_FlushPath.set_predictor`` rebuilds it);
 in-place table refreshes (``TabularLinear.rebuild``) are caught by an
 identity check on the source table each run, so neither a stale flattened
-copy nor a stale code map can serve.
+copy, a stale code map nor a stale input map can serve.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.tabularization.transitions import code_dtype, mappable, tuple_radix
+from repro.quantization.pq import lookup_aggregate
+from repro.tabularization.transitions import CodeMapCache, code_dtype, mappable, tuple_radix
 
-__all__ = ["SingleQueryFastPath", "EncodePlan", "TableGather", "RowPlan", "AttentionPlan"]
+__all__ = [
+    "SingleQueryFastPath", "EncodePlan", "TableGather", "RowPlan", "AttentionPlan",
+    "INPUT_MAP_KEYS",
+]
+
+#: Access keys one fast path's input map holds before it is cleared. Each key
+#: holds ``T`` rows of ``D`` floats (4 KiB at T=16, D=32) and their QKV codes.
+INPUT_MAP_KEYS = 1024
 
 
 class EncodePlan:
@@ -338,16 +356,19 @@ class AttentionPlan:
 class _MSAPlan:
     """Multi-head attention on one ``(T, D)`` input, heads pre-split once.
 
-    The head split/merge copies are single ``copyto`` calls through views
-    precomputed over the fixed scratch buffers — the same row orders the
-    generic path's reshape/transpose chains produce. A mapped plan (QKV code
-    space within ``MAX_SOURCE_TUPLES``) encodes the input once, gathers the
+    :meth:`run` takes the input and, optionally, its QKV codes: the first
+    layer's come from the fast path's input map, a later layer's from this
+    plan's own encode. The head split/merge copies are single ``copyto``
+    calls through views precomputed over the fixed scratch buffers — the
+    same row orders the generic path's reshape/transpose chains produce. A
+    mapped plan (QKV code space within ``MAX_SOURCE_TUPLES``) gathers the
     per-head Q/K codes from the site's code map and aggregates only the V
-    third of the QKV table, as ``TabularMSA.query`` does.
+    third of the QKV table, as ``TabularMSA.query`` does; an unmapped plan
+    aggregates the whole QKV table and encodes the Q and K rows.
     """
 
     __slots__ = (
-        "msa", "qkv", "attn", "out", "mapped", "qkv_enc", "qk_map", "v",
+        "msa", "qkv", "attn", "out", "mapped", "qkv_enc", "qk_map",
         "q_rows", "k_rows", "v_cols", "merged",
         "_q_src", "_k_src", "_v_src", "_q_dst", "_k_dst", "_v_dst",
         "_ctx_src", "_merged_dst",
@@ -357,19 +378,18 @@ class _MSAPlan:
         self.msa = msa
         self.mapped = mappable(msa.qkv.table)
         h, dh, d = msa.heads, msa.head_dim, msa.dim
+        c, k, _ = msa.qkv.table.shape
+        self.qkv_enc = EncodePlan(msa.qkv.pq, t)
         self.out = msa.out.make_row_plan(t)
         self.v_cols = np.empty((h * dh, t))
         self.merged = np.empty((t, d))
         self._v_dst = self.v_cols.reshape(h, dh, t)
         if self.mapped:
             ck = msa.attn.n_subspaces_k
-            self.qkv = None
-            self.qkv_enc = EncodePlan(msa.qkv.pq, t)
             self.qk_map = _CodeTransitionPlan(
                 msa.qkv.table, t, 2 * h * ck, msa.attn.n_prototypes
             )
-            c, k, _ = msa.qkv.table.shape
-            self.v = TableGather((c, k, d), t)
+            self.qkv = TableGather((c, k, d), t)  # the V third
             iq = np.empty((ck, h * t), dtype=np.intp)
             ik = np.empty((ck, h * t), dtype=np.intp)
             self.attn = _AttentionCodesPlan(msa.attn, h, iq, ik)
@@ -380,10 +400,10 @@ class _MSAPlan:
             self._k_src = rows[:, 1].transpose(2, 1, 0)
             self._q_dst = iq.reshape(ck, h, t)
             self._k_dst = ik.reshape(ck, h, t)
-            self._v_src = self.v.out.reshape(t, h, dh).transpose(1, 2, 0)
+            self._v_src = self.qkv.out.reshape(t, h, dh).transpose(1, 2, 0)
         else:
-            self.qkv_enc = self.qk_map = self.v = None
-            self.qkv = msa.qkv.make_row_plan(t)
+            self.qk_map = None
+            self.qkv = TableGather(msa.qkv.table.shape, t)
             self.attn = msa.attn.make_attention_plan(h)
             self.q_rows = np.empty((h * t, dh))
             self.k_rows = np.empty((h * t, dh))
@@ -398,18 +418,21 @@ class _MSAPlan:
         self._ctx_src = self.attn.ctx.transpose(1, 0, 2)  # (T, H, Dh)
         self._merged_dst = self.merged.reshape(t, h, dh)
 
-    def run(self, x2d: np.ndarray) -> np.ndarray:
+    def run(self, x2d: np.ndarray, codes: np.ndarray | None = None) -> np.ndarray:
+        """Attention output for ``x2d``; ``codes`` are its ``(C, T)`` QKV
+        codes (consumed), or ``None`` to encode them here."""
+        if codes is None:
+            codes = self.qkv_enc.encode(x2d)
         if self.mapped:
             qk_codes, v_table = self.msa.code_transition()
-            codes = self.qkv_enc.encode(x2d)
             self.qk_map.run(qk_codes, codes)  # before the gather consumes codes
             np.copyto(self._q_dst, self._q_src)
             np.copyto(self._k_dst, self._k_src)
-            self.v.run(v_table, codes)
+            self.qkv.run(v_table, codes)
             np.copyto(self._v_dst, self._v_src)
             self.attn.run(self.v_cols)  # fills attn.ctx
         else:
-            self.qkv.run(x2d)  # fills self.qkv.out
+            self.qkv.run(self.msa.qkv.table, codes)  # fills self.qkv.out
             np.copyto(self._q_dst, self._q_src)
             np.copyto(self._k_dst, self._k_src)
             np.copyto(self._v_dst, self._v_src)
@@ -476,8 +499,9 @@ class _EncoderLayerPlan:
             self.ffn1 = layer.ffn1.make_row_plan(t)
             self.ffn2 = layer.ffn2.make_row_plan(t)
 
-    def run(self, x2d: np.ndarray) -> np.ndarray:
-        np.add(x2d, self.msa.run(x2d), self.resid)
+    def run(self, x2d: np.ndarray, codes: np.ndarray | None = None) -> np.ndarray:
+        """Layer output for ``x2d``; ``codes`` as in :meth:`_MSAPlan.run`."""
+        np.add(x2d, self.msa.run(x2d, codes), self.resid)
         h1 = self.ln1.run(self.resid)
         if self.mapped:
             layer = self.layer
@@ -492,6 +516,40 @@ class _EncoderLayerPlan:
         return self.ln2.run(self.resid)
 
 
+class _InputMap:
+    """First-layer input rows and their QKV codes per (access key, position).
+
+    Slot ``s`` holds one access key's ``T`` rows at flat rows ``s·T ..
+    s·T + T - 1``: row ``s·T + p`` is ``ln_in(embed(key) + pe[p])`` and
+    column ``s·T + p`` of :attr:`codes` its QKV codes. :attr:`ids` maps a key
+    to ``s·T``. The arrays grow by doubling, so memory follows the keys
+    seen; at most ``cap`` keys fit, and the map is cleared when a window
+    brings more.
+    """
+
+    __slots__ = ("cap", "t", "ids", "rows", "codes")
+
+    def __init__(self, cap: int, t: int, d: int, c_qkv: int):
+        self.cap = cap
+        self.t = t
+        self.ids: dict[bytes, int] = {}
+        self.rows = np.empty((0, d))
+        self.codes = np.empty((c_qkv, 0), dtype=np.intp)
+
+    def reserve(self, n_keys: int) -> None:
+        """Room for ``n_keys <= cap`` keys, keeping the rows already held."""
+        held = self.rows.shape[0] // self.t
+        if n_keys <= held:
+            return
+        n = min(max(n_keys, 2 * held, 16), self.cap) * self.t
+        used = len(self.ids) * self.t
+        rows = np.empty((n, self.rows.shape[1]))
+        rows[:used] = self.rows[:used]
+        codes = np.empty((self.codes.shape[0], n), dtype=np.intp)
+        codes[:, :used] = self.codes[:, :used]
+        self.rows, self.codes = rows, codes
+
+
 class SingleQueryFastPath:
     """Preallocated single-query plan for a :class:`TabularAttentionPredictor`.
 
@@ -499,12 +557,27 @@ class SingleQueryFastPath:
     is geometry-bound to the model's ``history_len`` and bitmap size. Not
     thread-safe — every buffer is reused across calls — matching the
     single-threaded flush paths that drive it.
+
+    The input stage is a lookup. An access's key is its addr code tuple
+    followed by its pc code tuple (the bytes of that ``intp`` row, which fit
+    any ``K`` and ``C``). The embedding is a gather-sum of those codes, the
+    positional add and ``ln_in`` are row-local, and the QKV encode gives a
+    row the same codes at any row count, so the first layer's input row at
+    window position ``p`` and its QKV codes are functions of (key, ``p``).
+    The plan encodes the window's addr and pc rows, looks each key up in an
+    :class:`_InputMap` and gathers the rows and codes; a new key fills its
+    ``T`` rows once through the generic ops. The map is built on the first
+    query, holds :data:`INPUT_MAP_KEYS` keys, is cleared when full, and is
+    rebuilt when any array it was filled from is rebound (the addr and pc
+    tables, the positional table, ``ln_in``'s parameters, the first QKV
+    quantizer's prototypes).
     """
 
     __slots__ = (
-        "model", "t_hist", "bitmap_size",
-        "addr", "pc", "pe", "ln_in", "layers", "head",
-        "embed", "pooled", "sig_f", "sig_idx", "probs",
+        "model", "t_hist", "bitmap_size", "n_addr_codes",
+        "addr", "pc", "layers", "head", "_inputs",
+        "key_codes", "_key_addr", "_key_pc", "_keys", "pos", "base", "idx",
+        "rows", "qkv_codes", "pooled", "sig_f", "sig_idx", "probs",
     )
 
     def __init__(self, model):
@@ -513,17 +586,96 @@ class SingleQueryFastPath:
         self.t_hist = t
         self.bitmap_size = int(model.model_config.bitmap_size)
         d = model.model_config.dim
-        self.addr = model.addr_table.make_row_plan(t)
-        self.pc = model.pc_table.make_row_plan(t)
-        self.pe = np.ascontiguousarray(model.pos.pe[:t])
-        self.ln_in = _LayerNormPlan(model.ln_in, t)
+        ca = model.addr_table.n_subspaces
+        cp = model.pc_table.n_subspaces
+        self.n_addr_codes = ca
+        self.addr = EncodePlan(model.addr_table.pq, t)
+        self.pc = EncodePlan(model.pc_table.pq, t)
         self.layers = [_EncoderLayerPlan(layer, t) for layer in model.layers]
         self.head = model.head_table.make_row_plan(1)
-        self.embed = np.empty((t, d))
+        self._inputs = CodeMapCache()
+        #: (T, C_addr + C_pc) key rows, written through (C, T) views
+        self.key_codes = np.empty((t, ca + cp), dtype=np.intp)
+        self._key_addr = self.key_codes[:, :ca].T
+        self._key_pc = self.key_codes[:, ca:].T
+        #: one bytes key per row (``tolist()`` of a void view)
+        row_bytes = np.dtype((np.void, self.key_codes.itemsize * (ca + cp)))
+        self._keys = self.key_codes.view(row_bytes)[:, 0]
+        self.pos = np.arange(t, dtype=np.intp)
+        self.base = np.empty(t, dtype=np.intp)
+        self.idx = np.empty(t, dtype=np.intp)
+        self.rows = np.empty((t, d))
+        self.qkv_codes = np.empty((model.layers[0].msa.qkv.n_subspaces, t), dtype=np.intp)
         self.pooled = np.empty((1, d))
         self.sig_f = np.empty((1, self.bitmap_size))
         self.sig_idx = np.empty((1, self.bitmap_size), dtype=np.int64)
         self.probs = np.empty((1, self.bitmap_size))
+
+    def _input_map(self) -> _InputMap:
+        model = self.model
+        key = (
+            model.addr_table.table, model.pc_table.table, model.pos.pe,
+            model.ln_in.gamma, model.ln_in.beta, model.layers[0].msa.qkv.pq.prototypes,
+        )
+        return self._inputs.get(key, self._new_input_map)
+
+    def _new_input_map(self) -> _InputMap:
+        t = self.t_hist
+        # A window holds up to T distinct keys, so the map holds at least T.
+        return _InputMap(
+            max(INPUT_MAP_KEYS, t), t, self.rows.shape[1], self.qkv_codes.shape[0]
+        )
+
+    def _fill(self, m: _InputMap, keys: list) -> list:
+        """Add the window's unseen keys to ``m``; returns every key's base row."""
+        ids = m.ids
+        new = [key for key in dict.fromkeys(keys) if key not in ids]
+        if len(ids) + len(new) > m.cap:
+            ids.clear()
+            new = list(dict.fromkeys(keys))
+        m.reserve(len(ids) + len(new))
+        model, t, ca = self.model, self.t_hist, self.n_addr_codes
+        codes = np.frombuffer(b"".join(new), dtype=np.intp).reshape(len(new), -1)
+        embed = lookup_aggregate(model.addr_table.table, codes[:, :ca])
+        embed += lookup_aggregate(model.pc_table.table, codes[:, ca:])
+        rows = model.ln_in.query(model.pos.apply_inference(
+            np.broadcast_to(embed[:, None, :], (len(new), t, embed.shape[1]))
+        )).reshape(len(new) * t, -1)
+        lo = len(ids) * t
+        m.rows[lo : lo + len(rows)] = rows
+        m.codes[:, lo : lo + len(rows)] = model.layers[0].msa.qkv.pq.encode(rows).T
+        for i, key in enumerate(new):
+            ids[key] = lo + i * t
+        return [ids[key] for key in keys]
+
+    def head_codes(self, x_addr: np.ndarray, x_pc: np.ndarray) -> np.ndarray:
+        """One query's ``(C_out, 1)`` head codes (a buffer reused per call)."""
+        np.copyto(self._key_addr, self.addr.encode(x_addr))
+        np.copyto(self._key_pc, self.pc.encode(x_pc))
+        m = self._input_map()
+        keys = self._keys.tolist()
+        ids = m.ids
+        bases = [ids.get(key) for key in keys]
+        if None in bases:
+            bases = self._fill(m, keys)
+        self.base[:] = bases
+        np.add(self.base, self.pos, self.idx)
+        m.rows.take(self.idx, 0, self.rows)
+        m.codes.take(self.idx, 1, self.qkv_codes)
+        h, codes = self.rows, self.qkv_codes
+        for layer in self.layers:
+            h = layer.run(h, codes)
+            codes = None  # later layers encode their own input
+        # Mean pool = the same add.reduce + divide x.mean(axis=-2) runs.
+        np.add.reduce(h, axis=0, keepdims=True, out=self.pooled)
+        np.true_divide(self.pooled, self.t_hist, self.pooled)
+        return self.head.enc.encode(self.pooled)
+
+    def head_proba_into(self, codes: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Probabilities of ``(C_out, 1)`` head codes (consumed) into ``out``."""
+        logits = self.head.gather.run(self.model.head_table.table, codes)
+        self.model.sigmoid.query_into(logits, self.sig_f, self.sig_idx, out)
+        return out
 
     def query_into(self, x_addr: np.ndarray, x_pc: np.ndarray, out: np.ndarray) -> np.ndarray:
         """One query: ``(T, S)`` feature rows → probabilities into ``out``.
@@ -532,18 +684,7 @@ class SingleQueryFastPath:
         caller's batch buffer is the intended use). Bit-identical to
         ``model.query(x_addr[None], x_pc[None])[0]``.
         """
-        h = self.embed
-        np.add(self.addr.run(x_addr), self.pc.run(x_pc), h)
-        np.add(h, self.pe, h)
-        h = self.ln_in.run(h)
-        for layer in self.layers:
-            h = layer.run(h)
-        # Mean pool = the same add.reduce + divide x.mean(axis=-2) runs.
-        np.add.reduce(h, axis=0, keepdims=True, out=self.pooled)
-        np.true_divide(self.pooled, self.t_hist, self.pooled)
-        logits = self.head.run(self.pooled)  # (1, bitmap)
-        self.model.sigmoid.query_into(logits, self.sig_f, self.sig_idx, out)
-        return out
+        return self.head_proba_into(self.head_codes(x_addr, x_pc), out)
 
     def query1(self, x_addr: np.ndarray, x_pc: np.ndarray) -> np.ndarray:
         """Single-query probabilities, shape ``(bitmap_size,)`` (fresh array)."""

@@ -80,6 +80,8 @@ def test_query_into_steady_state_allocates_nothing(tab, queries):
     out = np.empty((1, tab.model_config.bitmap_size), dtype=np.float64)
     for i in range(20):  # warm every lazily-built view/cache
         fp.query_into(xa[i], xp[i], out)
+    inputs = fp._input_map()
+    keys = dict(inputs.ids)
     before = sys.getallocatedblocks()
     for i in range(50):
         fp.query_into(xa[i % 20], xp[i % 20], out)
@@ -87,6 +89,8 @@ def test_query_into_steady_state_allocates_nothing(tab, queries):
     # Python-frame churn allows a tiny wobble; 50 queries through the generic
     # path would allocate thousands of blocks.
     assert abs(after - before) < 50
+    # Every measured query was an input-map hit: no key was added.
+    assert fp._input_map() is inputs and inputs.ids == keys
 
 
 def test_query_into_repeated_calls_stay_bitwise(tab, queries):
@@ -101,21 +105,22 @@ def test_query_into_repeated_calls_stay_bitwise(tab, queries):
 
 
 def test_fast_path_tracks_inplace_table_rebuild(tab, queries):
-    """An in-place kernel ``rebuild()`` must invalidate the gathered plans."""
+    """An in-place kernel ``rebuild()`` must invalidate the gathered plans
+    and the input map."""
     xa, xp = queries
     fp = tab.fast_path()
     fp.query_into(xa[0], xp[0], np.empty((1, tab.model_config.bitmap_size)))  # build caches
-    head = tab.head_table
-    old_table = head.table.copy()
-    try:
-        # Swap the head's table array (what a drift-refresh rebuild() does);
-        # the plan must notice the new array and re-gather from it.
-        head.table = old_table * 2.0
-        got = tab.query1(xa[0], xp[0])
-        ref = tab.query(xa[:1], xp[:1])[0]
-        assert np.array_equal(got, ref)
-    finally:
-        head.table = old_table
+    for kernel in (tab.head_table, tab.addr_table, tab.pc_table):
+        old_table = kernel.table
+        try:
+            # Swap the table array (what a drift-refresh rebuild() does); the
+            # plan must notice the new array and re-gather from it.
+            kernel.table = old_table * 2.0
+            got = tab.query1(xa[0], xp[0])
+            ref = tab.query(xa[:1], xp[:1])[0]
+            assert np.array_equal(got, ref)
+        finally:
+            kernel.table = old_table
 
 
 def test_predict_proba_batch_one_matches_query1(tab, queries):
