@@ -15,14 +15,18 @@ bursts. The machinery splits into two halves with different sharing rules:
   the window for ``n - 1``, mirroring the batch path's
   ``sliding_window_view``. This state must never be shared across streams;
   mixing two streams' rings would corrupt every window.
-* :class:`_FlushPath` — the **shared** half. It owns the preallocated gather
-  buffers and the predictor, and can answer pending queries from *any number
-  of stream states* with **one** vectorized ``predict_proba`` call: the flush
-  gathers each stream's windows (one ``np.take`` per stream into slices of
-  the shared batch buffer), predicts once, and the shared
-  :func:`~repro.prefetch.nn_prefetcher.decode_bitmap_probs` turns each row
-  into prefetch candidates — the same decode the batch path runs, which is
-  why all serving paths are bit-identical.
+* :class:`_FlushPath` — the **shared** half. It owns the predictor and
+  answers pending queries from *any number of stream states* in **one**
+  vectorized pass. For a table predictor every flush, of one query or of
+  many, reads head codes (the k == 1 fast path, or
+  ``window_head_codes`` over each stream's ring span, each access encoded
+  once and its first-layer rows gathered from the model's input map) and
+  turns each head code tuple into deltas through a per-install emission
+  memo, decoding a tuple once. Other predictors gather each stream's
+  windows into preallocated buffers (one ``np.take`` per stream), predict
+  once, and decode with the shared
+  :func:`~repro.prefetch.nn_prefetcher.decode_bitmap_probs` — the decode the
+  batch path runs. Both are bit-identical to the batch oracle.
 
 :class:`MicroBatcher` composes one ``StreamState`` with a ``_FlushPath``:
 the single-stream engine. A flush fires when ``batch_size`` queries are
@@ -47,11 +51,12 @@ import numpy as np
 from repro.data.dataset import PreprocessConfig
 from repro.prefetch.nn_prefetcher import SingleRowDecoder, decode_bitmap_probs
 from repro.runtime.streaming import Emission, StreamingPrefetcher
+from repro.tabularization.tabular_model import key_view
 from repro.tabularization.transitions import CodeMapCache
 from repro.utils.bits import block_address
 
-#: Head code tuples the single-query emission memo holds before it is cleared
-#: (a K=128, C=2 head has 16,384).
+#: Head code tuples the emission memo holds before it is cleared (a K=128,
+#: C=2 head has 16,384).
 EMISSION_MEMO_TUPLES = 16_384
 
 
@@ -240,11 +245,13 @@ def snapshot_from_bytes(buf: bytes) -> dict[str, np.ndarray]:
 
 
 class _FlushPath:
-    """Shared flush machinery: gather → one vectorized predict → decode.
+    """Shared flush machinery: head codes → emission memo (table
+    predictors), or gather → one vectorized predict → decode (others).
 
-    Holds the preallocated ``(B, T, S)`` gather buffers and the (single)
-    predictor reference; :meth:`flush` answers pending queries from any
-    number of :class:`StreamState` instances in one ``predict_proba`` call.
+    Holds the (single) predictor reference, the emission memo and the
+    preallocated ``(B, T, S)`` gather buffers of the generic path;
+    :meth:`flush` answers pending queries from any number of
+    :class:`StreamState` instances in one pass.
     """
 
     def __init__(
@@ -269,7 +276,7 @@ class _FlushPath:
         self._anchors = np.empty(b, dtype=np.int64)
         self._probs = np.empty((b, config.bitmap_size), dtype=np.float64)
         self._win = np.arange(t_hist, dtype=np.intp)
-        #: row-wise decode twin (bit-identical; used by the k == 1 dispatch)
+        #: row-wise decode twin (bit-identical; decodes the memo's misses)
         self._decode1 = SingleRowDecoder(config.bitmap_size, threshold, max_degree, decode)
         #: vectorized predict calls issued (the quantity shared batching cuts)
         self.predict_calls = 0
@@ -294,9 +301,10 @@ class _FlushPath:
 
         When the callable is a bound method of a model exposing
         ``fast_path()`` (the tabular predictor), the single-query plan is
-        built here, once per install — so one-row flushes skip the generic
-        n-row gather/predict machinery entirely. A swap replaces the plan
-        with the new model's (never reuses the old one).
+        built here, once per install, and every flush reads head codes and
+        the emission memo instead of running ``predict_proba``. A swap
+        replaces the plan and the memo with the new model's (never reuses
+        the old ones).
         """
         self._predict = predict_proba
         try:
@@ -314,7 +322,7 @@ class _FlushPath:
             ):  # geometry-incompatible plan: serve generically
                 fast = None
         self._fast = fast
-        #: head code tuple -> deltas of the k == 1 path: it belongs to this
+        #: head code tuple -> deltas (table predictors): it belongs to this
         #: install's decode policy, and is rebuilt when the head or sigmoid
         #: table it was decoded from is rebound
         self._emissions = CodeMapCache()
@@ -323,7 +331,7 @@ class _FlushPath:
             self.model_version = version
 
     def flush(self, groups: list[tuple[StreamState, list[int]]]) -> list[list[Emission]]:
-        """Answer each group's pending seqs; one predict call for all groups.
+        """Answer each group's pending seqs in one pass over all groups.
 
         Callers own the pending lists (this method does not clear them). The
         total query count must not exceed ``batch_size`` — the flush policies
@@ -335,36 +343,10 @@ class _FlushPath:
             return [[] for _ in groups]
         if k > self.batch_size:
             raise ValueError(f"{k} pending queries exceed batch_size={self.batch_size}")
-        t = self._t_hist
-        if k == 1 and self._fast is not None:
-            # Single-query dispatch: the window for seq is a *contiguous*
-            # slice of the mirrored ring (rows r+cap-T+1 .. r+cap), so it
-            # feeds the fused plan as a view — no gather, no batch predict.
-            # Its deltas are a function of its head codes, so each distinct
-            # head tuple is decoded once, at anchor 0, and each query adds
-            # its own anchor. Bit-identity with the generic path is pinned
-            # by the serving-conformance matrix.
-            for state, pend in groups:
-                if pend:
-                    break
-            cap = state.cap
-            r = pend[0] % cap
-            lo = r + cap - t + 1
-            fast = self._fast
-            codes = fast.head_codes(state.addr_ring[lo : lo + t], state.pc_ring[lo : lo + t])
-            model = fast.model
-            memo = self._emissions.get((model.head_table.table, model.sigmoid.table), dict)
-            key = codes.tobytes()
-            deltas = memo.get(key)
-            if deltas is None:
-                if len(memo) >= EMISSION_MEMO_TUPLES:
-                    memo.clear()
-                fast.head_proba_into(codes, self._probs[:1])
-                deltas = memo[key] = tuple(self._decode1.decode1(self._probs[0], 0))
-            anchor = int(state.anchors[r])
-            lists = [[anchor + d for d in deltas]]
-            self.fast_path_flushes += 1
+        if self._fast is not None:
+            lists = self._memo_lists(groups, k)
         else:
+            t = self._t_hist
             offset = 0
             for state, pend in groups:
                 kk = len(pend)
@@ -396,6 +378,66 @@ class _FlushPath:
             out.append([Emission(s, blocks) for s, blocks in zip(pend, lists[offset : offset + kk])])
             offset += kk
         return out
+
+    def _memo_lists(self, groups, k: int) -> list[list[int]]:
+        """Every query's blocks from its head codes and the emission memo.
+
+        A k == 1 flush runs the fast path's plan on the window, a contiguous
+        slice of the mirrored ring (rows r+cap-T+1 .. r+cap). A larger flush
+        takes, per stream, the contiguous ring span from its oldest pending
+        window's first access to its newest pending access (``k + T - 1``
+        rows for consecutive seqs, never more than the ring) and hands all
+        spans to ``window_head_codes``, which encodes and keys each access
+        once. Each head code row is then looked up in the memo; a tuple it
+        lacks is decoded once, at anchor 0, and each query adds its own
+        anchor. Bit-identity with the generic path is pinned by the
+        serving-conformance matrix and ``tests/test_input_map.py``.
+        """
+        fast, t = self._fast, self._t_hist
+        if k == 1:
+            for state, pend in groups:
+                if pend:
+                    break
+            cap = state.cap
+            r = pend[0] % cap
+            lo = r + cap - t + 1
+            codes = fast.head_codes(state.addr_ring[lo : lo + t], state.pc_ring[lo : lo + t])
+            keys = [codes.tobytes()]
+            anchors = [int(state.anchors[r])]
+            self.fast_path_flushes += 1
+        else:
+            addr, pc, starts, anchors = [], [], [], []
+            n = 0
+            for state, pend in groups:
+                if not pend:
+                    continue
+                cap = state.cap
+                first = min(pend) - t + 1
+                size = max(pend) - first + 1
+                lo = first % cap
+                addr.append(state.addr_ring[lo : lo + size])
+                pc.append(state.pc_ring[lo : lo + size])
+                seqs = np.asarray(pend, dtype=np.intp)
+                starts.append(seqs + (n - first - t + 1))  # window starts in the spans
+                anchors += state.anchors[seqs % cap].tolist()
+                n += size
+            codes = fast.model.window_head_codes(
+                np.concatenate(addr), np.concatenate(pc), np.concatenate(starts)
+            )
+            keys = key_view(codes).tolist()
+        model = fast.model
+        memo = self._emissions.get((model.head_table.table, model.sigmoid.table), dict)
+        lists = []
+        for a, key in zip(anchors, keys):
+            deltas = memo.get(key)
+            if deltas is None:
+                if len(memo) >= EMISSION_MEMO_TUPLES:
+                    memo.clear()
+                codes = np.frombuffer(key, dtype=np.intp).reshape(-1, 1).copy()
+                fast.head_proba_into(codes, self._probs[:1])
+                deltas = memo[key] = tuple(self._decode1.decode1(self._probs[0], 0))
+            lists.append([a + d for d in deltas])
+        return lists
 
 
 class MicroBatcher:

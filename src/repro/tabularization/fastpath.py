@@ -48,9 +48,10 @@ be IEEE-754 exact:
   site for its map on every query, so the map is built on the first query,
   not with the plan;
 * the input stage (embedding, positional add, ``ln_in``, the first QKV
-  encode) is gathered from a per-plan input map keyed on each access's code
-  tuple and filled through the generic ops (see
-  :class:`SingleQueryFastPath`).
+  encode) is gathered from the model's input map, keyed on each access's
+  code tuple and filled through the generic ops
+  (:meth:`~repro.tabularization.tabular_model.TabularAttentionPredictor.
+  input_map`); the serving path's batched flushes read the same map.
 
 :meth:`SingleQueryFastPath.head_codes` stops at the head's codes, so a caller
 that memoizes what it derives from them (the serving flush path's emission
@@ -63,25 +64,20 @@ serving-conformance matrix pins the whole serving stack on top of it.
 
 Hot model swaps replace the plan (``_FlushPath.set_predictor`` rebuilds it);
 in-place table refreshes (``TabularLinear.rebuild``) are caught by an
-identity check on the source table each run, so neither a stale flattened
-copy, a stale code map nor a stale input map can serve.
+identity check on the source table each run, and a rebound quantizer's
+prototypes by one on the prototypes each encode, so neither a stale
+flattened copy, stale encode operands, a stale code map nor a stale input
+map can serve.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.quantization.pq import lookup_aggregate
-from repro.tabularization.transitions import CodeMapCache, code_dtype, mappable, tuple_radix
+from repro.tabularization.tabular_model import key_view
+from repro.tabularization.transitions import code_dtype, mappable, tuple_radix
 
-__all__ = [
-    "SingleQueryFastPath", "EncodePlan", "TableGather", "RowPlan", "AttentionPlan",
-    "INPUT_MAP_KEYS",
-]
-
-#: Access keys one fast path's input map holds before it is cleared. Each key
-#: holds ``T`` rows of ``D`` floats (4 KiB at T=16, D=32) and their QKV codes.
-INPUT_MAP_KEYS = 1024
+__all__ = ["SingleQueryFastPath", "EncodePlan", "TableGather", "RowPlan", "AttentionPlan"]
 
 
 class EncodePlan:
@@ -93,8 +89,8 @@ class EncodePlan:
     """
 
     __slots__ = (
-        "pq", "n", "kind", "pad", "x_pad", "subs", "subs_n", "sub_slices", "_mm",
-        "dist_n", "codes", "_view", "_view_src", "_dim_slice",
+        "pq", "n", "kind", "pad", "x_pad", "subs", "subs_n", "sub_slices", "_mm", "_protos",
+        "_dist", "dist_n", "codes", "_view", "_view_src", "_dim_slice",
     )
 
     def __init__(self, pq, n: int):
@@ -119,20 +115,9 @@ class EncodePlan:
             self.subs[:, :, v] = 1.0
         self.subs_n = self.subs[:, : self.n, :v]
         self.sub_slices = [self.subs_n[ci] for ci in range(c)]
-        if exact:
-            dist = np.empty((c, rows, k))
-            self.dist_n = dist[:, : self.n]
-            #: per-subspace (input.dot, operand, output) GEMM operands, the
-            #: operand shared with the quantizer's batch encode;
-            #: ``ndarray.dot`` reaches the same BLAS dgemm as ``np.matmul``
-            #: (verified bitwise-identical) with far less dispatch overhead
-            self._mm = [
-                (self.subs[ci].dot, op, dist[ci])
-                for ci, op in enumerate(pq.exact_operands())
-            ]
-        else:
-            self.dist_n = None
-            self._mm = None
+        self._dist = np.empty((c, rows, k)) if exact else None
+        self.dist_n = self._dist[:, : self.n] if exact else None
+        self._protos = self._mm = None
         self.codes = np.empty((c, self.n), dtype=np.intp)
         # The (n, C, V) split view is cached keyed on source-buffer identity:
         # padded sites always split the persistent x_pad; unpadded sites in
@@ -144,6 +129,20 @@ class EncodePlan:
         else:
             self._view_src = None
             self._view = None
+
+    def _bind(self) -> None:
+        """Bind the GEMM operands of the quantizer's current prototypes.
+
+        ``_mm`` holds per-subspace ``(input.dot, operand, output)``, the
+        operand shared with the quantizer's batch encode; ``ndarray.dot``
+        reaches the same BLAS dgemm as ``np.matmul`` (verified
+        bitwise-identical) with far less dispatch overhead.
+        """
+        self._protos = self.pq.prototypes
+        self._mm = [
+            (self.subs[ci].dot, op, self._dist[ci])
+            for ci, op in enumerate(self.pq.exact_operands())
+        ]
 
     def encode(self, x2d: np.ndarray) -> np.ndarray:
         """Codes for ``x2d`` of shape ``(n, dim)``; returns ``(C, n)`` intp."""
@@ -161,6 +160,8 @@ class EncodePlan:
         np.copyto(self.subs_n, view)
         codes = self.codes
         if self.kind == "exact":
+            if self.pq.prototypes is not self._protos:
+                self._bind()
             for dot, op, dst in self._mm:
                 dot(op, dst)
             # argmin is value-exact at any batching: one call covers every
@@ -516,40 +517,6 @@ class _EncoderLayerPlan:
         return self.ln2.run(self.resid)
 
 
-class _InputMap:
-    """First-layer input rows and their QKV codes per (access key, position).
-
-    Slot ``s`` holds one access key's ``T`` rows at flat rows ``s·T ..
-    s·T + T - 1``: row ``s·T + p`` is ``ln_in(embed(key) + pe[p])`` and
-    column ``s·T + p`` of :attr:`codes` its QKV codes. :attr:`ids` maps a key
-    to ``s·T``. The arrays grow by doubling, so memory follows the keys
-    seen; at most ``cap`` keys fit, and the map is cleared when a window
-    brings more.
-    """
-
-    __slots__ = ("cap", "t", "ids", "rows", "codes")
-
-    def __init__(self, cap: int, t: int, d: int, c_qkv: int):
-        self.cap = cap
-        self.t = t
-        self.ids: dict[bytes, int] = {}
-        self.rows = np.empty((0, d))
-        self.codes = np.empty((c_qkv, 0), dtype=np.intp)
-
-    def reserve(self, n_keys: int) -> None:
-        """Room for ``n_keys <= cap`` keys, keeping the rows already held."""
-        held = self.rows.shape[0] // self.t
-        if n_keys <= held:
-            return
-        n = min(max(n_keys, 2 * held, 16), self.cap) * self.t
-        used = len(self.ids) * self.t
-        rows = np.empty((n, self.rows.shape[1]))
-        rows[:used] = self.rows[:used]
-        codes = np.empty((self.codes.shape[0], n), dtype=np.intp)
-        codes[:, :used] = self.codes[:, :used]
-        self.rows, self.codes = rows, codes
-
-
 class SingleQueryFastPath:
     """Preallocated single-query plan for a :class:`TabularAttentionPredictor`.
 
@@ -558,24 +525,18 @@ class SingleQueryFastPath:
     thread-safe — every buffer is reused across calls — matching the
     single-threaded flush paths that drive it.
 
-    The input stage is a lookup. An access's key is its addr code tuple
-    followed by its pc code tuple (the bytes of that ``intp`` row, which fit
-    any ``K`` and ``C``). The embedding is a gather-sum of those codes, the
-    positional add and ``ln_in`` are row-local, and the QKV encode gives a
-    row the same codes at any row count, so the first layer's input row at
-    window position ``p`` and its QKV codes are functions of (key, ``p``).
-    The plan encodes the window's addr and pc rows, looks each key up in an
-    :class:`_InputMap` and gathers the rows and codes; a new key fills its
-    ``T`` rows once through the generic ops. The map is built on the first
-    query, holds :data:`INPUT_MAP_KEYS` keys, is cleared when full, and is
-    rebuilt when any array it was filled from is rebound (the addr and pc
-    tables, the positional table, ``ln_in``'s parameters, the first QKV
-    quantizer's prototypes).
+    The input stage is a lookup in the model's input map
+    (:meth:`~repro.tabularization.tabular_model.TabularAttentionPredictor.
+    input_map`, shared with the batched serving flushes). The plan encodes
+    the window's addr and pc rows into one ``(T, C_addr + C_pc)`` key row
+    per access, looks the keys up (a new key fills its ``T`` rows once
+    through the generic ops) and gathers layer 0's input rows and QKV codes
+    by (key, position).
     """
 
     __slots__ = (
-        "model", "t_hist", "bitmap_size", "n_addr_codes",
-        "addr", "pc", "layers", "head", "_inputs",
+        "model", "t_hist", "bitmap_size",
+        "addr", "pc", "layers", "head",
         "key_codes", "_key_addr", "_key_pc", "_keys", "pos", "base", "idx",
         "rows", "qkv_codes", "pooled", "sig_f", "sig_idx", "probs",
     )
@@ -588,19 +549,16 @@ class SingleQueryFastPath:
         d = model.model_config.dim
         ca = model.addr_table.n_subspaces
         cp = model.pc_table.n_subspaces
-        self.n_addr_codes = ca
         self.addr = EncodePlan(model.addr_table.pq, t)
         self.pc = EncodePlan(model.pc_table.pq, t)
         self.layers = [_EncoderLayerPlan(layer, t) for layer in model.layers]
         self.head = model.head_table.make_row_plan(1)
-        self._inputs = CodeMapCache()
         #: (T, C_addr + C_pc) key rows, written through (C, T) views
         self.key_codes = np.empty((t, ca + cp), dtype=np.intp)
         self._key_addr = self.key_codes[:, :ca].T
         self._key_pc = self.key_codes[:, ca:].T
         #: one bytes key per row (``tolist()`` of a void view)
-        row_bytes = np.dtype((np.void, self.key_codes.itemsize * (ca + cp)))
-        self._keys = self.key_codes.view(row_bytes)[:, 0]
+        self._keys = key_view(self.key_codes)
         self.pos = np.arange(t, dtype=np.intp)
         self.base = np.empty(t, dtype=np.intp)
         self.idx = np.empty(t, dtype=np.intp)
@@ -611,53 +569,11 @@ class SingleQueryFastPath:
         self.sig_idx = np.empty((1, self.bitmap_size), dtype=np.int64)
         self.probs = np.empty((1, self.bitmap_size))
 
-    def _input_map(self) -> _InputMap:
-        model = self.model
-        key = (
-            model.addr_table.table, model.pc_table.table, model.pos.pe,
-            model.ln_in.gamma, model.ln_in.beta, model.layers[0].msa.qkv.pq.prototypes,
-        )
-        return self._inputs.get(key, self._new_input_map)
-
-    def _new_input_map(self) -> _InputMap:
-        t = self.t_hist
-        # A window holds up to T distinct keys, so the map holds at least T.
-        return _InputMap(
-            max(INPUT_MAP_KEYS, t), t, self.rows.shape[1], self.qkv_codes.shape[0]
-        )
-
-    def _fill(self, m: _InputMap, keys: list) -> list:
-        """Add the window's unseen keys to ``m``; returns every key's base row."""
-        ids = m.ids
-        new = [key for key in dict.fromkeys(keys) if key not in ids]
-        if len(ids) + len(new) > m.cap:
-            ids.clear()
-            new = list(dict.fromkeys(keys))
-        m.reserve(len(ids) + len(new))
-        model, t, ca = self.model, self.t_hist, self.n_addr_codes
-        codes = np.frombuffer(b"".join(new), dtype=np.intp).reshape(len(new), -1)
-        embed = lookup_aggregate(model.addr_table.table, codes[:, :ca])
-        embed += lookup_aggregate(model.pc_table.table, codes[:, ca:])
-        rows = model.ln_in.query(model.pos.apply_inference(
-            np.broadcast_to(embed[:, None, :], (len(new), t, embed.shape[1]))
-        )).reshape(len(new) * t, -1)
-        lo = len(ids) * t
-        m.rows[lo : lo + len(rows)] = rows
-        m.codes[:, lo : lo + len(rows)] = model.layers[0].msa.qkv.pq.encode(rows).T
-        for i, key in enumerate(new):
-            ids[key] = lo + i * t
-        return [ids[key] for key in keys]
-
     def head_codes(self, x_addr: np.ndarray, x_pc: np.ndarray) -> np.ndarray:
         """One query's ``(C_out, 1)`` head codes (a buffer reused per call)."""
         np.copyto(self._key_addr, self.addr.encode(x_addr))
         np.copyto(self._key_pc, self.pc.encode(x_pc))
-        m = self._input_map()
-        keys = self._keys.tolist()
-        ids = m.ids
-        bases = [ids.get(key) for key in keys]
-        if None in bases:
-            bases = self._fill(m, keys)
+        m, bases = self.model.input_bases(self._keys.tolist())
         self.base[:] = bases
         np.add(self.base, self.pos, self.idx)
         m.rows.take(self.idx, 0, self.rows)

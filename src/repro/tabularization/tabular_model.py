@@ -36,6 +36,9 @@ from repro.tabularization.transitions import (
 LATENCY_LAYERNORM = 8.0
 #: Output sigmoid LUT latency L_sigma (cycles).
 LATENCY_SIGMOID = 1.0
+#: Access keys a model's input map holds before it is cleared. Each key holds
+#: ``T`` rows of ``D`` floats (4 KiB at T=16, D=32) and their QKV codes.
+INPUT_MAP_KEYS = 1024
 
 
 @dataclass(frozen=True)
@@ -101,21 +104,27 @@ class TabularMSA:
         qk_codes = build_code_map(table, [(0, d, attn.pq_q), (d, 2 * d, attn.pq_k)])
         return qk_codes, np.ascontiguousarray(table[:, :, 2 * d :])
 
-    def query(self, x: np.ndarray) -> np.ndarray:
+    def query(self, x: np.ndarray, codes: np.ndarray | None = None) -> np.ndarray:
+        """Attention output for ``(B, T, D)`` inputs.
+
+        ``codes`` are the inputs' ``(B·T, C)`` QKV codes, as ``qkv.pq.encode``
+        gives them, or ``None`` to encode them here.
+        """
         b, t, d = x.shape
         h, dh = self.heads, self.head_dim
 
         def split(m):  # (B, T, D) -> (B*H, T, Dh): heads batch through the kernel
             return m.reshape(b, t, h, dh).transpose(0, 2, 1, 3).reshape(b * h, t, dh)
 
+        if codes is None:
+            codes = self.qkv.pq.encode(x.reshape(-1, d))  # (B*T, C)
         site = self.code_transition()
         if site is None:
-            qkv = self.qkv.query(x)  # (B, T, 3D)
+            qkv = lookup_aggregate(self.qkv.table, codes).reshape(b, t, 3 * d)
             q, k, v = np.split(qkv, 3, axis=-1)
             ctx = self.attn.query(split(q), split(k), split(v))  # (B*H, T, Dh)
         else:
             qk_codes, v_table = site
-            codes = self.qkv.pq.encode(x.reshape(-1, d))  # (B*T, C)
             qk = qk_codes.take(codes @ tuple_radix(self.qkv.table), 0)
             ck = self.attn.n_subspaces_k
             # (B·T, 2·H·C_k) -> (2, C_k, B·H, T): the layout the Q/K encodes give
@@ -166,8 +175,9 @@ class TabularEncoderLayer:
         ffn1, pq = self.ffn1, self.ffn2.pq
         return build_code_map(ffn1.table, [(0, ffn1.out_dim, pq)], relu=True)
 
-    def query(self, x: np.ndarray) -> np.ndarray:
-        h = self.ln1.query(x + self.msa.query(x))
+    def query(self, x: np.ndarray, codes: np.ndarray | None = None) -> np.ndarray:
+        """Layer output; ``codes`` as in :meth:`TabularMSA.query`."""
+        h = self.ln1.query(x + self.msa.query(x, codes))
         ffn2_codes = self.code_transition()
         if ffn2_codes is None:
             f = self.ffn2.query(np.maximum(self.ffn1.query(h), 0.0))
@@ -176,6 +186,48 @@ class TabularEncoderLayer:
             mapped = ffn2_codes.take(codes @ tuple_radix(self.ffn1.table), 0)
             f = lookup_aggregate(self.ffn2.table, mapped).reshape(*h.shape[:-1], -1)
         return self.ln2.query(h + f)
+
+
+class InputMap:
+    """First-layer input rows and their QKV codes per (access key, position).
+
+    Slot ``s`` holds one access key's ``T`` rows at flat rows ``s·T ..
+    s·T + T - 1``: row ``s·T + p`` is ``ln_in(embed(key) + pe[p])`` and
+    column ``s·T + p`` of :attr:`codes` its QKV codes. :attr:`ids` maps a key
+    to ``s·T``. The arrays grow by doubling, so memory follows the keys
+    seen. The map holds ``cap`` keys: a lookup that brings more new keys
+    than there is room left for clears it first, and one that brings more
+    than ``cap`` distinct keys grows it past ``cap`` to hold them all.
+    """
+
+    __slots__ = ("cap", "t", "ids", "rows", "codes")
+
+    def __init__(self, cap: int, t: int, d: int, c_qkv: int):
+        self.cap = cap
+        self.t = t
+        self.ids: dict[bytes, int] = {}
+        self.rows = np.empty((0, d))
+        self.codes = np.empty((c_qkv, 0), dtype=np.intp)
+
+    def reserve(self, n_keys: int) -> None:
+        """Room for ``n_keys`` keys, keeping the rows already held."""
+        held = self.rows.shape[0] // self.t
+        if n_keys <= held:
+            return
+        n = max(min(max(2 * held, 16), self.cap), n_keys) * self.t
+        used = len(self.ids) * self.t
+        rows = np.empty((n, self.rows.shape[1]))
+        rows[:used] = self.rows[:used]
+        codes = np.empty((self.codes.shape[0], n), dtype=np.intp)
+        codes[:, :used] = self.codes[:, :used]
+        self.rows, self.codes = rows, codes
+
+
+def key_view(key_codes: np.ndarray) -> np.ndarray:
+    """One void item per row of a C-contiguous ``(n, width)`` intp code array;
+    ``tolist()`` gives each row's bytes, the key of the input map and of the
+    serving emission memo."""
+    return key_codes.view(np.dtype((np.void, key_codes.itemsize * key_codes.shape[1])))[:, 0]
 
 
 class TabularAttentionPredictor:
@@ -205,10 +257,98 @@ class TabularAttentionPredictor:
 
     def __getstate__(self) -> dict:
         # The cached fast path's bound GEMM calls point into this object's
-        # buffers, so a copy or an unpickled model must build its own.
+        # buffers, so a copy or an unpickled model must build its own; the
+        # input map is a serving cache and is rebuilt on first use.
         state = self.__dict__.copy()
         state.pop("_fast_path", None)
+        state.pop("_inputs", None)
         return state
+
+    # ------------------------------------------------------------ input map
+    def input_map(self) -> InputMap:
+        """The model's :class:`InputMap` (built on first use).
+
+        An access's key is its addr code tuple followed by its pc code
+        tuple. The embedding is a gather-sum of those codes, the positional
+        add and ``ln_in`` are row-local, and the QKV encode gives a row the
+        same codes at any row count, so layer 0's input row at window
+        position ``p`` and its QKV codes are functions of (key, ``p``). The
+        map is rebuilt when any array it was filled from is rebound (the
+        addr and pc tables, the positional table, ``ln_in``'s parameters,
+        the first QKV quantizer's prototypes), the identity rule of
+        :class:`CodeMapCache`.
+        """
+        cache = self.__dict__.get("_inputs")
+        if cache is None:
+            cache = self._inputs = CodeMapCache()
+        key = (
+            self.addr_table.table, self.pc_table.table, self.pos.pe,
+            self.ln_in.gamma, self.ln_in.beta, self.layers[0].msa.qkv.pq.prototypes,
+        )
+        return cache.get(key, self._new_input_map)
+
+    def _new_input_map(self) -> InputMap:
+        mc = self.model_config
+        return InputMap(INPUT_MAP_KEYS, mc.history_len, mc.dim, self.layers[0].msa.qkv.n_subspaces)
+
+    def input_bases(self, keys: list) -> tuple[InputMap, list]:
+        """The input map and each key's base row in it, filling unseen keys."""
+        m = self.input_map()
+        ids = m.ids
+        bases = [ids.get(key) for key in keys]
+        if None in bases:
+            bases = self._fill_inputs(m, keys)
+        return m, bases
+
+    def _fill_inputs(self, m: InputMap, keys: list) -> list:
+        """Add the unseen keys to ``m`` through the generic ops; returns every
+        key's base row. Keys of one call are never evicted by that call."""
+        ids = m.ids
+        new = [key for key in dict.fromkeys(keys) if key not in ids]
+        if len(ids) + len(new) > m.cap:
+            ids.clear()
+            new = list(dict.fromkeys(keys))
+        m.reserve(len(ids) + len(new))
+        t, ca = m.t, self.addr_table.n_subspaces
+        codes = np.frombuffer(b"".join(new), dtype=np.intp).reshape(len(new), -1)
+        embed = lookup_aggregate(self.addr_table.table, codes[:, :ca])
+        embed += lookup_aggregate(self.pc_table.table, codes[:, ca:])
+        rows = self.ln_in.query(self.pos.apply_inference(
+            np.broadcast_to(embed[:, None, :], (len(new), t, embed.shape[1]))
+        )).reshape(len(new) * t, -1)
+        lo = len(ids) * t
+        m.rows[lo : lo + len(rows)] = rows
+        m.codes[:, lo : lo + len(rows)] = self.layers[0].msa.qkv.pq.encode(rows).T
+        for i, key in enumerate(new):
+            ids[key] = lo + i * t
+        return [ids[key] for key in keys]
+
+    def window_head_codes(
+        self, acc_addr: np.ndarray, acc_pc: np.ndarray, starts: np.ndarray
+    ) -> np.ndarray:
+        """Head codes of the windows ``acc[s : s + T]`` for ``s`` in ``starts``.
+
+        ``acc_addr``/``acc_pc`` are per-access features ``(n, S)`` /
+        ``(n, S_pc)``. Each access is encoded once and keyed; layer 0's input
+        rows and QKV codes are gathered from the :meth:`input_map` by (key,
+        window position), and the rest of the trunk runs through the generic
+        ops. Returns ``(len(starts), C_out)`` intp, C-contiguous: row ``i``
+        is the head code row :meth:`predict_proba` reaches for that window.
+        """
+        t = self.model_config.history_len
+        ca = self.addr_table.n_subspaces
+        key_codes = np.empty((len(acc_addr), ca + self.pc_table.n_subspaces), dtype=np.intp)
+        key_codes[:, :ca] = self.addr_table.pq.encode(acc_addr)
+        key_codes[:, ca:] = self.pc_table.pq.encode(acc_pc)
+        m, bases = self.input_bases(key_view(key_codes).tolist())
+        pos = np.arange(t)
+        idx = np.take(bases, np.add.outer(starts, pos)) + pos  # (k, T) flat map rows
+        h = m.rows.take(idx, 0)
+        codes = m.codes.take(idx.reshape(-1), 1).T  # (k·T, C), as pq.encode lays it out
+        for layer in self.layers:
+            h = layer.query(h, codes)
+            codes = None  # later layers encode their own input
+        return np.ascontiguousarray(self.head_table.pq.encode(h.mean(axis=-2)))
 
     # ------------------------------------------------------------------ query
     def embed(self, x_addr: np.ndarray, x_pc: np.ndarray) -> np.ndarray:

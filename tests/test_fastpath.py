@@ -80,7 +80,7 @@ def test_query_into_steady_state_allocates_nothing(tab, queries):
     out = np.empty((1, tab.model_config.bitmap_size), dtype=np.float64)
     for i in range(20):  # warm every lazily-built view/cache
         fp.query_into(xa[i], xp[i], out)
-    inputs = fp._input_map()
+    inputs = tab.input_map()
     keys = dict(inputs.ids)
     before = sys.getallocatedblocks()
     for i in range(50):
@@ -90,7 +90,7 @@ def test_query_into_steady_state_allocates_nothing(tab, queries):
     # path would allocate thousands of blocks.
     assert abs(after - before) < 50
     # Every measured query was an input-map hit: no key was added.
-    assert fp._input_map() is inputs and inputs.ids == keys
+    assert tab.input_map() is inputs and inputs.ids == keys
 
 
 def test_query_into_repeated_calls_stay_bitwise(tab, queries):

@@ -142,6 +142,29 @@ def test_bo_running_leader_matches_max_reference(seed):
     assert bo.prefetch_lists(trace) == want
 
 
+@pytest.mark.parametrize("late_first", [False, True])
+def test_bo_tied_tournament_goes_to_the_earlier_offset(late_first):
+    """Offsets 2 and 3 (list positions 1 and 2) each score once and nothing
+    else scores, so the tournament ties; the earlier offset in the list
+    must win whichever of the two scored first."""
+    bo = BestOffsetPrefetcher(round_max=2, bad_score=0, rr_delay=0)
+    n = len(bo.offsets)
+    assert bo.offsets[1:3] == [2, 3]
+    # Unrelated blocks: no two are within 256 of each other.
+    blocks = [10**9 + 10**4 * i for i in range(2 * n)]
+    # Position 1 tests offset 2 and position 2 offset 3. With no RR delay
+    # the previous access is already in the RR table, so a block 2 (or 3)
+    # above it scores that offset. ``late_first`` makes offset 3 score in
+    # the first round and offset 2 in the second.
+    score_2, score_3 = (n + 1, 2) if late_first else (1, n + 2)
+    blocks[score_2] = blocks[score_2 - 1] + 2
+    blocks[score_3] = blocks[score_3 - 1] + 3
+    state = bo.reset_state()
+    out = [bo.step(state, 0, x, i) for i, x in enumerate(blocks + [5 * 10**9])]
+    assert state.best_offset == 2 and state.prefetch_on
+    assert out[-1] == [5 * 10**9 + 2]
+
+
 def test_isb_learns_temporal_stream():
     ph = PointerChasePhase(0, 64, 10_000, pc=0x10, seed=1)
     tr = compose_trace([(ph, 640)], seed=0)
