@@ -6,11 +6,8 @@
 3. **Attention surrogate**: softmax student vs sigmoid-attention student
    (Eq. 14 bakes sigmoid into the QKV table; does training the student with
    sigmoid attention shrink the tabularization gap?).
-4. **Future work — layer fusion** (paper Sec. VIII): FFN block as one fused
-   table vs two linear kernels: latency halves, accuracy drops with C.
+4. **Decode policy**: timeliness-major vs confidence-major prefetch decode.
 """
-
-import numpy as np
 
 from conftest import DART_TABLE, PREPROCESS, STUDENT_MODEL, get_tabular, tabular_f1
 
@@ -18,7 +15,6 @@ from repro.core.evaluate import f1_score
 from repro.distillation import TrainConfig, train_model
 from repro.models import AttentionPredictor
 from repro.tabularization import TableConfig, tabularize_predictor
-from repro.tabularization.fused import FusedFunctionTable
 from repro.utils import log
 
 
@@ -116,48 +112,6 @@ def bench_ablation_sigmoid_attention_student(benchmark, suite):
     assert f1s["sigmoid DART"] > 0.0
 
 
-def bench_ablation_fused_ffn_table(benchmark, suite):
-    """Paper Sec. VIII future work: one fused table for the whole FFN block."""
-    art = _pick_app(suite)
-    student = art.student
-    enc = student.encoders[0]
-    acts = student.trunk_activations(art.ds_train.x_addr, art.ds_train.x_pc)
-    x_in = acts["enc0/post_ln1"]
-    target = acts["enc0/ffn_out"]
-    dim = student.config.dim
-
-    def ffn(rows):
-        hidden = np.maximum(rows @ enc.ffn.lin1.weight.value.T + enc.ffn.lin1.bias.value, 0.0)
-        return hidden @ enc.ffn.lin2.weight.value.T + enc.ffn.lin2.bias.value
-
-    def run():
-        out = {}
-        for c in (1, 2, 4):
-            fused = FusedFunctionTable.train(
-                ffn, x_in, dim, dim, n_prototypes=128, n_subspaces=c, rng=0
-            )
-            approx = fused.query(x_in)
-            err = float(np.abs(approx - target).mean() / (np.abs(target).mean() + 1e-12))
-            out[c] = (err, fused.latency_cycles())
-        return out
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
-    two_kernel_latency = 2 * (np.log2(128) + np.log2(2) + 1)
-    rows = [
-        [f"C={c}", f"{err:.3f}", f"{lat:.0f}", f"{two_kernel_latency:.0f}"]
-        for c, (err, lat) in results.items()
-    ]
-    log.table(
-        f"Ablation: fused FFN table ({art.name}) — rel. error and latency "
-        "vs the two-kernel path",
-        ["config", "rel err", "fused latency", "2-kernel latency"],
-        rows,
-    )
-    # fused halves latency; error grows with C (nonlinearity vs additivity)
-    assert results[1][1] < two_kernel_latency
-    assert results[4][0] >= results[1][0] - 0.05
-
-
 def bench_ablation_decode_policy(benchmark, suite, profile):
     """Timeliness-major vs confidence-major prefetch decode.
 
@@ -196,38 +150,3 @@ def bench_ablation_decode_policy(benchmark, suite, profile):
     )
     # timeliness-major decode must not lose to confidence-major on IPC
     assert results["distance"][0] >= results["confidence"][0] - 0.02
-
-
-def bench_ablation_prefetch_filter(benchmark, suite, profile):
-    """Request dedup filter: how redundant is the bitmap prefetcher's stream?"""
-    from repro.prefetch import DARTPrefetcher, FilteredPrefetcher
-    from repro.sim import SimConfig, ipc_improvement, simulate
-    from repro.traces import make_workload
-
-    art = _pick_app(suite)
-    tab, _ = get_tabular(art, fine_tune=True, table=DART_TABLE)
-    trace = make_workload(art.name, scale=profile.sim_trace_scale, seed=2)
-    cfg = SimConfig()
-
-    def run():
-        base = simulate(trace, None, cfg)
-        raw = DARTPrefetcher(tab, PREPROCESS)
-        filt = FilteredPrefetcher(DARTPrefetcher(tab, PREPROCESS), window=2048)
-        r_raw = simulate(trace, raw, cfg)
-        r_filt = simulate(trace, filt, cfg)
-        return {
-            "raw": (ipc_improvement(r_raw, base), None),
-            "filtered": (ipc_improvement(r_filt, base), filt.redundancy),
-        }
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
-    log.table(
-        f"Ablation: prefetch dedup filter ({art.name})",
-        ["variant", "IPC gain", "stream redundancy"],
-        [
-            ["raw", f"{results['raw'][0]:+.3f}", "-"],
-            ["filtered", f"{results['filtered'][0]:+.3f}", f"{results['filtered'][1]:.1%}"],
-        ],
-    )
-    # dedup must not change useful prefetching (duplicates die at the cache)
-    assert abs(results["filtered"][0] - results["raw"][0]) < 0.05

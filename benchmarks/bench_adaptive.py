@@ -1,20 +1,15 @@
-"""Feedback-directed throttling and hybrid prefetching ablations.
+"""Feedback-directed throttling ablation.
 
-Beyond-the-paper system components measured the way the paper measures
-prefetchers (same traces, same simulator, IPC/accuracy):
-
-* **FDP** — dynamic degree control must clamp a junk predictor to the floor,
-  open up a perfect one, and track a fixed well-tuned degree within a few
-  percent on real workloads (the point of FDP is robustness, not peak).
-* **Hybrid** — a Streamer+BO composite must be at least as good as the
-  weaker constituent on every app and competitive with the stronger one.
+A beyond-the-paper system component measured the way the paper measures
+prefetchers (same traces, same simulator, IPC/accuracy): FDP's dynamic degree
+control must clamp a junk predictor to the floor, open up a perfect one, and
+track a fixed well-tuned degree within a few percent on real workloads (the
+point of FDP is robustness, not peak).
 """
 
 from repro.prefetch import (
     BestOffsetPrefetcher,
-    CompositePrefetcher,
     FeedbackThrottle,
-    StreamPrefetcher,
     ThrottleConfig,
 )
 from repro.sim import SimConfig, ipc_improvement, simulate
@@ -54,31 +49,3 @@ def bench_fdp_robustness(benchmark, profile):
         # never turns a win into a loss.
         if fixed > 0.02:
             assert fdp > 0.0, f"FDP lost the win on {app}"
-
-
-def bench_hybrid_vs_constituents(benchmark, profile):
-    apps = profile.sim_apps
-    cfg = SimConfig()
-
-    def run():
-        out = {}
-        for app in apps:
-            trace = make_workload(app, scale=profile.sim_trace_scale, seed=2)
-            base = simulate(trace, None, cfg)
-            streamer = ipc_improvement(simulate(trace, StreamPrefetcher(), cfg), base)
-            bo = ipc_improvement(simulate(trace, BestOffsetPrefetcher(), cfg), base)
-            hybrid = CompositePrefetcher(
-                [StreamPrefetcher(), BestOffsetPrefetcher()], max_degree=4
-            )
-            hy = ipc_improvement(simulate(trace, hybrid, cfg), base)
-            out[app] = (streamer, bo, hy)
-        return out
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
-    log.table(
-        "Hybrid (Streamer+BO) vs constituents",
-        ["app", "Streamer", "BO", "Hybrid"],
-        [[a, f"{v[0]:+.1%}", f"{v[1]:+.1%}", f"{v[2]:+.1%}"] for a, v in results.items()],
-    )
-    for app, (streamer, bo, hy) in results.items():
-        assert hy >= min(streamer, bo) - 0.05, f"hybrid below both constituents on {app}"

@@ -12,7 +12,6 @@ distance-to-use, and verify the structural expectations —
 
 from repro.prefetch import (
     BestOffsetPrefetcher,
-    SPPPrefetcher,
     StreamPrefetcher,
     analyze_timeliness,
 )
@@ -29,7 +28,7 @@ def bench_timeliness_anatomy(benchmark, profile):
 
     def run():
         out = {}
-        for pf in (StreamPrefetcher(), BestOffsetPrefetcher(), SPPPrefetcher()):
+        for pf in (StreamPrefetcher(), BestOffsetPrefetcher()):
             out[pf.name] = analyze_timeliness(trace, pf, cycles_per_access=cpa)
         return out
 

@@ -18,7 +18,7 @@ Usage::
 
 import sys
 
-from repro.prefetch import BestOffsetPrefetcher, SPPPrefetcher, StreamPrefetcher
+from repro.prefetch import BestOffsetPrefetcher, StreamPrefetcher
 from repro.sim import (
     HierarchyConfig,
     ipc_improvement,
@@ -75,7 +75,7 @@ def main() -> None:
     print("--- LLC prefetchers in the detailed model ---")
     cfg = HierarchyConfig()
     base = simulate_hierarchy(trace, None, cfg)
-    for pf in (StreamPrefetcher(), BestOffsetPrefetcher(), SPPPrefetcher()):
+    for pf in (StreamPrefetcher(), BestOffsetPrefetcher()):
         r = simulate_hierarchy(trace, pf, cfg)
         print(f"  {pf.name:9s} IPC {r.sim.ipc:.3f} ({ipc_improvement(r.sim, base.sim):+6.1%})  "
               f"accuracy {r.sim.accuracy:6.2%}  LLC hit {r.llc.hit_rate:.2%}")

@@ -124,11 +124,6 @@ PREFETCHER_CHOICES = [
     "isb",
     "stride",
     "nextline",
-    "spp",
-    "sms",
-    "ghb",
-    "ghb-pc",
-    "markov",
     "streamer",
     "dart",
 ]
@@ -139,12 +134,8 @@ def _make_prefetcher(name: str, tables: str | None, student: str | None = None):
     from repro.prefetch import (
         BestOffsetPrefetcher,
         DARTPrefetcher,
-        GHBPrefetcher,
         ISBPrefetcher,
-        MarkovPrefetcher,
         NextLinePrefetcher,
-        SMSPrefetcher,
-        SPPPrefetcher,
         StreamPrefetcher,
         StridePrefetcher,
     )
@@ -159,16 +150,6 @@ def _make_prefetcher(name: str, tables: str | None, student: str | None = None):
         return StridePrefetcher()
     if name == "nextline":
         return NextLinePrefetcher(degree=2)
-    if name == "spp":
-        return SPPPrefetcher()
-    if name == "sms":
-        return SMSPrefetcher()
-    if name == "ghb":
-        return GHBPrefetcher("global")
-    if name == "ghb-pc":
-        return GHBPrefetcher("pc")
-    if name == "markov":
-        return MarkovPrefetcher()
     if name == "streamer":
         return StreamPrefetcher()
     if name == "dart":

@@ -107,21 +107,13 @@ def section_shootout(spec: ShootoutSpec | None = None) -> str:
     """Rule-based prefetcher shootout (no training required)."""
     from repro.prefetch import (
         BestOffsetPrefetcher,
-        GHBPrefetcher,
         ISBPrefetcher,
-        SPPPrefetcher,
         StreamPrefetcher,
     )
 
     spec = spec or ShootoutSpec()
     cfg = SimConfig()
-    roster = [
-        StreamPrefetcher(),
-        BestOffsetPrefetcher(),
-        ISBPrefetcher(),
-        SPPPrefetcher(),
-        GHBPrefetcher("pc"),
-    ]
+    roster = [StreamPrefetcher(), BestOffsetPrefetcher(), ISBPrefetcher()]
     rows = []
     for app in spec.apps:
         trace = make_workload(app, scale=spec.scale, seed=spec.seed)

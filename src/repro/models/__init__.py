@@ -6,9 +6,6 @@
   the distilled student, and the TransFetch-like baseline.
 * :class:`LSTMPredictor` — a Voyager-like recurrent predictor baseline that
   shares DART's delta-bitmap formulation (drops into the paper's comparison).
-* :class:`VoyagerPredictor` — the faithful hierarchical Voyager: page/offset/PC
-  vocabularies, embeddings, LSTM trunk, dual cross-entropy heads; deployed via
-  :class:`VoyagerPrefetcher` for the extended study.
 * :class:`ModelConfig` — the Table I structure notation (L, D, H, ...).
 """
 
@@ -19,17 +16,6 @@ from repro.models.attention_model import (
 )
 from repro.models.config import DART_CONFIG, STUDENT_CONFIG, TEACHER_CONFIG, ModelConfig
 from repro.models.lstm_model import LSTMPredictor
-from repro.models.voyager_model import (
-    N_OFFSETS,
-    Vocab,
-    VoyagerDataset,
-    VoyagerPredictor,
-    VoyagerPrefetcher,
-    VoyagerTrainConfig,
-    build_voyager_dataset,
-    next_address_accuracy,
-    train_voyager,
-)
 
 __all__ = [
     "AttentionPredictor",
@@ -38,15 +24,6 @@ __all__ = [
     "STUDENT_CONFIG",
     "DART_CONFIG",
     "LSTMPredictor",
-    "N_OFFSETS",
-    "Vocab",
-    "VoyagerDataset",
-    "VoyagerPredictor",
-    "VoyagerPrefetcher",
-    "VoyagerTrainConfig",
-    "build_voyager_dataset",
     "load_attention_predictor",
-    "next_address_accuracy",
     "save_attention_predictor",
-    "train_voyager",
 ]

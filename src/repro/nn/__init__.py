@@ -28,7 +28,6 @@ from repro.nn.losses import (
     mse_loss,
     t_sigmoid,
 )
-from repro.nn.gru import GRU
 from repro.nn.lstm import LSTM
 from repro.nn.module import Module, Parameter, Sequential
 from repro.nn.optim import SGD, Adam, clip_global_norm
@@ -61,7 +60,6 @@ __all__ = [
     "kd_loss",
     "mse_loss",
     "t_sigmoid",
-    "GRU",
     "LSTM",
     "Module",
     "Parameter",

@@ -6,21 +6,15 @@ Voyager-like LSTM) with the paper's latency/storage figures. DART itself wraps
 the tabular predictor. The cost model (Eqs. 16–23) and the table configurator
 (Sec. VI-C) live here too, since they answer prefetcher design questions.
 
-Beyond the paper's baselines, the standard rule-based field is implemented
-for the extended shootout: SPP (signature-path), SMS (spatial footprints),
-GHB G/DC & PC/DC (delta correlation), Markov (address correlation) and the
-classic stream buffer.
+The classic stream buffer (:class:`StreamPrefetcher`) drives the multicore
+goldens and the report's shootout; FDP throttling (:class:`FeedbackThrottle`)
+and the timeliness analysis wrap any of them.
 """
 
 from repro.prefetch.adaptive import FeedbackThrottle, ThrottleConfig
 from repro.prefetch.analysis import TimelinessReport, analyze_timeliness, compare_timeliness
 from repro.prefetch.base import Prefetcher, PrecomputedPrefetcher, SequentialPrefetcher
 from repro.prefetch.bo import BestOffsetPrefetcher
-from repro.prefetch.ghb import GHBPrefetcher
-from repro.prefetch.hybrid import CompositePrefetcher
-from repro.prefetch.markov import MarkovPrefetcher
-from repro.prefetch.sms import SMSPrefetcher
-from repro.prefetch.spp import SPPPrefetcher
 from repro.prefetch.streamer import StreamPrefetcher
 from repro.prefetch.cost_model import (
     attention_kernel_latency,
@@ -37,7 +31,6 @@ from repro.prefetch.cost_model import (
     tabular_model_storage_bits,
 )
 from repro.prefetch.dart import DARTPrefetcher
-from repro.prefetch.filter import FilteredPrefetcher
 from repro.prefetch.isb import ISBPrefetcher
 from repro.prefetch.next_line import NextLinePrefetcher
 from repro.prefetch.nn_prefetcher import NeuralPrefetcher, decode_bitmap_probs, model_prefetch_lists
@@ -73,13 +66,7 @@ __all__ = [
     "TimelinessReport",
     "analyze_timeliness",
     "compare_timeliness",
-    "CompositePrefetcher",
-    "FilteredPrefetcher",
-    "GHBPrefetcher",
     "ISBPrefetcher",
-    "MarkovPrefetcher",
-    "SMSPrefetcher",
-    "SPPPrefetcher",
     "StreamPrefetcher",
     "NextLinePrefetcher",
     "NeuralPrefetcher",

@@ -99,8 +99,8 @@ class SequentialPrefetcher(Prefetcher):
         ]
 
     def stream(self, **kwargs):
-        # Serving knobs like ``batch_size`` are accepted (and ignored) so
-        # ensembles can broadcast one configuration to mixed components.
+        # Serving knobs like ``batch_size`` are accepted (and ignored) so a
+        # caller can pass one configuration to any prefetcher (``repro stream``).
         from repro.runtime.streaming import SequentialStreamAdapter
 
         return SequentialStreamAdapter(self)

@@ -14,14 +14,12 @@ from repro.quantization.bitwidth import (
 )
 from repro.quantization.encoders import HashTreeEncoder
 from repro.quantization.kmeans import kmeans_fit
-from repro.quantization.opq import RotatedProductQuantizer
 from repro.quantization.pq import (
     ProductQuantizer,
     build_weight_table,
     lookup_aggregate,
     pairwise_prototype_table,
 )
-from repro.quantization.residual_pq import ResidualProductQuantizer
 
 __all__ = [
     "apply_bitwidth",
@@ -31,10 +29,8 @@ __all__ = [
     "quantize_array",
     "HashTreeEncoder",
     "kmeans_fit",
-    "RotatedProductQuantizer",
     "ProductQuantizer",
     "build_weight_table",
     "lookup_aggregate",
     "pairwise_prototype_table",
-    "ResidualProductQuantizer",
 ]

@@ -82,9 +82,7 @@ from repro.runtime.throttle import (
 )
 from repro.runtime.streaming import (
     BatchAdapter,
-    CompositeStream,
     Emission,
-    FilteredStream,
     SequentialStreamAdapter,
     StreamingPrefetcher,
     as_streaming,
@@ -99,10 +97,8 @@ __all__ = [
     "ThrottleConfig",
     "ThrottledStream",
     "BatchAdapter",
-    "CompositeStream",
     "ContractViolation",
     "Emission",
-    "FilteredStream",
     "MicroBatcher",
     "ModelArtifact",
     "MultiStreamEngine",

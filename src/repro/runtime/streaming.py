@@ -18,27 +18,21 @@ Protocol invariant: across ``ingest`` + a final ``flush``, **exactly one
 emission per observed access, in ascending ``seq`` order**. Synchronous
 engines (rule-based state machines) emit at the triggering access; deferred
 engines (the micro-batched model path) emit bursts at flush points. The
-invariant is what makes composition (priority merge, dedup filter) and the
-:class:`BatchAdapter` equivalence exact.
+invariant is what makes the :class:`BatchAdapter` equivalence exact.
 
 Adapters close the loop with the batch world:
 
 * :class:`SequentialStreamAdapter` — any :class:`SequentialPrefetcher`
-  (BO, SPP, ISB, SMS, GHB, streamer, stride, next-line, Markov) as a stream;
+  (BO, ISB, streamer, stride, next-line) as a stream;
 * :class:`BatchAdapter` — any stream back into a :class:`Prefetcher`, used by
-  the equivalence tests to prove both paths bit-identical;
-* :class:`CompositeStream` / :class:`FilteredStream` — streaming forms of the
-  ensemble and dedup-filter wrappers.
+  the equivalence tests to prove both paths bit-identical.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
 from typing import NamedTuple
 
 from repro.prefetch.base import Prefetcher, SequentialPrefetcher
-from repro.prefetch.filter import filter_recent
-from repro.prefetch.hybrid import merge_candidates
 from repro.traces.trace import MemoryTrace
 from repro.utils.bits import block_address
 
@@ -109,115 +103,6 @@ class SequentialStreamAdapter(StreamingPrefetcher):
     def reset(self) -> None:
         self.seq = 0
         self._state = self.inner.reset_state()
-
-
-class CompositeStream(StreamingPrefetcher):
-    """Priority merge of component streams (online CompositePrefetcher).
-
-    Components may answer at different times (a synchronous streamer next to
-    a micro-batched DART), so per-component emission queues are aligned by
-    ``seq`` — the ordered-emission invariant guarantees the queue fronts
-    always refer to the same access — and an access is arbitrated only once
-    every component has answered it.
-    """
-
-    def __init__(
-        self,
-        streams: list[StreamingPrefetcher],
-        max_degree: int = 4,
-        name: str | None = None,
-        latency_cycles: int = 0,
-        storage_bytes: float = 0.0,
-    ):
-        if not streams:
-            raise ValueError("need at least one component stream")
-        self.streams = list(streams)
-        self.max_degree = int(max_degree)
-        self.name = name or "+".join(s.name for s in streams)
-        self.latency_cycles = int(latency_cycles)
-        self.storage_bytes = float(storage_bytes)
-        self.seq = 0
-        self._queues: list[deque[Emission]] = [deque() for _ in self.streams]
-
-    def _drain_ready(self) -> list[Emission]:
-        out: list[Emission] = []
-        while all(self._queues):
-            fronts = [q.popleft() for q in self._queues]
-            seq = fronts[0].seq
-            out.append(Emission(seq, merge_candidates([f.blocks for f in fronts], self.max_degree)))
-        return out
-
-    def ingest(self, pc: int, addr: int) -> list[Emission]:
-        self.seq += 1
-        for stream, queue in zip(self.streams, self._queues):
-            queue.extend(stream.ingest(pc, addr))
-        return self._drain_ready()
-
-    def flush(self) -> list[Emission]:
-        for stream, queue in zip(self.streams, self._queues):
-            queue.extend(stream.flush())
-        return self._drain_ready()
-
-    def reset(self) -> None:
-        self.seq = 0
-        for stream in self.streams:
-            stream.reset()
-        self._queues = [deque() for _ in self.streams]
-
-
-class FilteredStream(StreamingPrefetcher):
-    """Recent-request dedup filter over a stream (online FilteredPrefetcher).
-
-    Emissions are filtered in ``seq`` order through one sliding window of
-    recently issued blocks, exactly the order the batch filter walks, so the
-    kept/suppressed decisions match bit for bit.
-    """
-
-    def __init__(
-        self,
-        inner: StreamingPrefetcher,
-        window: int = 1024,
-        name: str | None = None,
-        latency_cycles: int | None = None,
-        storage_bytes: float | None = None,
-    ):
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.inner = inner
-        self.window = int(window)
-        self.name = name or f"{inner.name}+filter"
-        self.latency_cycles = inner.latency_cycles if latency_cycles is None else latency_cycles
-        self.storage_bytes = (
-            inner.storage_bytes + 8.0 * self.window if storage_bytes is None else storage_bytes
-        )
-        self.seq = 0
-        self._recent: OrderedDict[int, None] = OrderedDict()
-        #: running statistics (mirror FilteredPrefetcher's per-call counters)
-        self.raw_requests = 0
-        self.kept_requests = 0
-
-    def _filter(self, emissions: list[Emission]) -> list[Emission]:
-        out: list[Emission] = []
-        for em in emissions:
-            kept = filter_recent(self._recent, em.blocks, self.window)
-            self.raw_requests += len(em.blocks)
-            self.kept_requests += len(kept)
-            out.append(Emission(em.seq, kept))
-        return out
-
-    def ingest(self, pc: int, addr: int) -> list[Emission]:
-        self.seq += 1
-        return self._filter(self.inner.ingest(pc, addr))
-
-    def flush(self) -> list[Emission]:
-        return self._filter(self.inner.flush())
-
-    def reset(self) -> None:
-        self.seq = 0
-        self.inner.reset()
-        self._recent = OrderedDict()
-        self.raw_requests = 0
-        self.kept_requests = 0
 
 
 class BatchAdapter(Prefetcher):

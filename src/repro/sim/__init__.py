@@ -21,8 +21,8 @@ Prefetch timeliness is the paper's central quantity: a prefetch issues
 accuracy (useful / issued), coverage (prefetch-served demands / baseline
 misses), and IPC improvement over the no-prefetch baseline.
 
-Analysis helpers: :func:`opt_miss_rate` (Belady bound),
-:func:`replacement_headroom`, :func:`l2_filter`, :func:`miss_rate_profile`.
+Analysis helpers: :func:`opt_miss_rate` (Belady bound) and
+:func:`replacement_headroom`.
 """
 
 from repro.sim.cache import SetAssocCache
@@ -47,7 +47,6 @@ from repro.sim.hierarchy import (
 )
 from repro.sim.metrics import SimResult, ipc_improvement
 from repro.sim.multicore import MulticoreResult, simulate_multicore
-from repro.sim.multilevel import l2_filter, miss_rate_profile
 from repro.sim.optimal import opt_miss_count, opt_miss_rate, replacement_headroom
 from repro.sim.paging import TLB, PageTable
 from repro.sim.policy_cache import PolicyCache
@@ -82,8 +81,6 @@ __all__ = [
     "tenant_of",
     "SimResult",
     "ipc_improvement",
-    "l2_filter",
-    "miss_rate_profile",
     "opt_miss_count",
     "opt_miss_rate",
     "replacement_headroom",

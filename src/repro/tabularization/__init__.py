@@ -53,7 +53,6 @@ from repro.tabularization.export import (  # noqa: E402
     write_packed,
 )
 from repro.tabularization.fastpath import SingleQueryFastPath  # noqa: E402
-from repro.tabularization.fused import FusedFunctionTable  # noqa: E402
 from repro.tabularization.serialization import (  # noqa: E402
     FORMAT_VERSION,
     config_fingerprint,
@@ -70,7 +69,6 @@ from repro.tabularization.shm import (  # noqa: E402
 
 __all__ += [
     "FORMAT_VERSION",
-    "FusedFunctionTable",
     "SingleQueryFastPath",
     "SharedTables",
     "attach_artifact",

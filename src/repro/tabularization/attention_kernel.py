@@ -161,16 +161,6 @@ class TabularAttention:
         iv = self.pq_v.encode(v_cols).T.reshape(-1, b, dk)
         return _pair_lookup(self.qkv_table, iqk, iv)
 
-    def make_attention_plan(self, batch: int):
-        """Preallocated fixed-batch query plan (the single-query fast path).
-
-        Bit-identical to :meth:`query` on ``batch`` attention instances; see
-        :mod:`repro.tabularization.fastpath`.
-        """
-        from repro.tabularization.fastpath import AttentionPlan
-
-        return AttentionPlan(self, batch)
-
     # ------------------------------------------------------------------ costs
     @property
     def n_prototypes(self) -> int:

@@ -208,11 +208,12 @@ class TableGather:
 
 
 class RowPlan:
-    """Fixed-row-count encode → gather → aggregate for one table kernel.
+    """Fixed-row-count encode → gather → aggregate for one
+    :class:`~repro.tabularization.linear_kernel.TabularLinear`.
 
-    Works for any kernel carrying ``(pq, table)`` with a ``(C, K, D_out)``
-    table — :class:`TabularLinear` and :class:`FusedFunctionTable` both
-    expose it via ``make_row_plan``.
+    Bit-identical to the kernel's ``query`` on ``(n, D_in)`` inputs: the
+    kernel's ``pq`` encodes, and its ``(C, K, D_out)`` table is gathered and
+    summed over ``C``.
     """
 
     __slots__ = ("kernel", "enc", "gather", "out")
@@ -381,7 +382,7 @@ class _MSAPlan:
         h, dh, d = msa.heads, msa.head_dim, msa.dim
         c, k, _ = msa.qkv.table.shape
         self.qkv_enc = EncodePlan(msa.qkv.pq, t)
-        self.out = msa.out.make_row_plan(t)
+        self.out = RowPlan(msa.out, t)
         self.v_cols = np.empty((h * dh, t))
         self.merged = np.empty((t, d))
         self._v_dst = self.v_cols.reshape(h, dh, t)
@@ -405,7 +406,7 @@ class _MSAPlan:
         else:
             self.qk_map = None
             self.qkv = TableGather(msa.qkv.table.shape, t)
-            self.attn = msa.attn.make_attention_plan(h)
+            self.attn = AttentionPlan(msa.attn, h)
             self.q_rows = np.empty((h * t, dh))
             self.k_rows = np.empty((h * t, dh))
             qkv_out = self.qkv.out  # (T, 3D), fixed buffer
@@ -497,8 +498,8 @@ class _EncoderLayerPlan:
         else:
             self.ffn1_enc = self.ffn2_map = self.ffn2_codes = self.ffn2_gather = None
             self._codes_src = None
-            self.ffn1 = layer.ffn1.make_row_plan(t)
-            self.ffn2 = layer.ffn2.make_row_plan(t)
+            self.ffn1 = RowPlan(layer.ffn1, t)
+            self.ffn2 = RowPlan(layer.ffn2, t)
 
     def run(self, x2d: np.ndarray, codes: np.ndarray | None = None) -> np.ndarray:
         """Layer output for ``x2d``; ``codes`` as in :meth:`_MSAPlan.run`."""
@@ -552,7 +553,7 @@ class SingleQueryFastPath:
         self.addr = EncodePlan(model.addr_table.pq, t)
         self.pc = EncodePlan(model.pc_table.pq, t)
         self.layers = [_EncoderLayerPlan(layer, t) for layer in model.layers]
-        self.head = model.head_table.make_row_plan(1)
+        self.head = RowPlan(model.head_table, 1)
         #: (T, C_addr + C_pc) key rows, written through (C, T) views
         self.key_codes = np.empty((t, ca + cp), dtype=np.intp)
         self._key_addr = self.key_codes[:, :ca].T

@@ -80,16 +80,6 @@ class TabularLinear:
         out = lookup_aggregate(self.table, codes)
         return out.reshape(*lead, self.out_dim)
 
-    def make_row_plan(self, n_rows: int):
-        """Preallocated fixed-row-count query plan (the single-query fast path).
-
-        Bit-identical to :meth:`query` on ``(n_rows, D_in)`` inputs; see
-        :mod:`repro.tabularization.fastpath`.
-        """
-        from repro.tabularization.fastpath import RowPlan
-
-        return RowPlan(self, n_rows)
-
     # ------------------------------------------------------------------ costs
     @property
     def n_prototypes(self) -> int:

@@ -7,9 +7,7 @@ only through elementwise ops, the next quantizer's codes are a function of
 the same tuple. A source table with ``K`` prototypes in ``C`` subspaces has
 ``K**C`` tuples, so those codes can be precomputed once per tuple and then
 looked up instead of searched. This is the exact form of the paper's
-proposal to "convert multiple layers into a single table" (Sec. VIII). The
-approximate form, which sums per-subspace outputs, is
-:class:`~repro.tabularization.fused.FusedFunctionTable`.
+proposal to "convert multiple layers into a single table" (Sec. VIII).
 
 An encoder layer has two such sites:
 

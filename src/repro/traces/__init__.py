@@ -20,7 +20,6 @@ from repro.traces.generators import (
     compose_trace,
     phase_shift_trace,
 )
-from repro.traces.graph_workloads import GRAPH_WORKLOADS, make_graph_workload
 from repro.traces.io import (
     iter_accesses,
     iter_chunks,
@@ -42,8 +41,6 @@ from repro.traces.trace import MemoryTrace
 from repro.traces.workloads import WORKLOAD_NAMES, make_workload
 
 __all__ = [
-    "GRAPH_WORKLOADS",
-    "make_graph_workload",
     "FEATURE_NAMES",
     "detect_phases",
     "phase_summary",

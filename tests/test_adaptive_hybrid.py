@@ -1,19 +1,15 @@
-"""Feedback-directed throttling (FDP) and the composite prefetcher."""
+"""Feedback-directed throttling (FDP)."""
 
-import numpy as np
 import pytest
 
 from repro.prefetch import (
-    CompositePrefetcher,
     FeedbackThrottle,
     NextLinePrefetcher,
     PrecomputedPrefetcher,
-    StreamPrefetcher,
     ThrottleConfig,
 )
 from repro.sim import SimConfig, ipc_improvement, simulate
 from repro.traces.generators import StreamPhase, compose_trace
-from repro.traces.trace import MemoryTrace
 
 
 def _stream_trace(n=4000, gap=20):
@@ -122,62 +118,3 @@ def test_no_throttle_means_no_extra():
     tr = _stream_trace(500)
     r = simulate(tr, NextLinePrefetcher(degree=1))
     assert "throttle" not in r.extra
-
-
-# --------------------------------------------------------------- composite
-def _fixed(lists, name, latency=0):
-    return PrecomputedPrefetcher([list(x) for x in lists], name=name, latency_cycles=latency)
-
-
-def test_composite_validation():
-    with pytest.raises(ValueError):
-        CompositePrefetcher([])
-    with pytest.raises(ValueError):
-        CompositePrefetcher([NextLinePrefetcher()], max_degree=0)
-
-
-def test_composite_merges_in_priority_order():
-    n = 3
-    tr = MemoryTrace(np.arange(1, n + 1) * 10, np.zeros(n, dtype=np.int64),
-                     np.arange(n, dtype=np.int64) << 6)
-    a = _fixed([[10, 11]] * n, "A")
-    b = _fixed([[11, 12, 13]] * n, "B")
-    comp = CompositePrefetcher([a, b], max_degree=3)
-    lists = comp.prefetch_lists(tr)
-    assert lists[0] == [10, 11, 12]  # A first, dupes dropped, budget capped
-
-
-def test_composite_name_latency_storage():
-    a = NextLinePrefetcher(degree=1)
-    a.latency_cycles, a.storage_bytes = 10, 100.0
-    b = StreamPrefetcher()
-    b.latency_cycles, b.storage_bytes = 50, 200.0
-    par = CompositePrefetcher([a, b])
-    assert par.latency_cycles == 50 and par.storage_bytes == 300.0
-    staged = CompositePrefetcher([a, b], parallel=False)
-    assert staged.latency_cycles == 60
-    named = CompositePrefetcher([a, b], name="Hybrid")
-    assert named.name == "Hybrid"
-    assert "+" in par.name
-
-
-def test_composite_length_mismatch_rejected():
-    n = 4
-    tr = MemoryTrace(np.arange(1, n + 1) * 10, np.zeros(n, dtype=np.int64),
-                     np.arange(n, dtype=np.int64) << 6)
-    bad = _fixed([[1]] * 2, "bad")
-    with pytest.raises(ValueError):
-        CompositePrefetcher([bad]).prefetch_lists(tr)
-
-
-def test_composite_at_least_as_good_as_best_member_on_stream():
-    tr = _stream_trace()
-    base = simulate(tr, None)
-    stream = StreamPrefetcher(degree=4)
-    nl = NextLinePrefetcher(degree=1)
-    nl.latency_cycles = 0
-    comp = CompositePrefetcher([stream, nl], max_degree=4)
-    comp.latency_cycles = 0
-    imp_comp = ipc_improvement(simulate(tr, comp), base)
-    imp_nl = ipc_improvement(simulate(tr, nl), base)
-    assert imp_comp >= imp_nl - 0.02

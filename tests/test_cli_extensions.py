@@ -22,10 +22,10 @@ def test_factory_none():
 def test_simulate_accepts_new_prefetchers(capsys):
     rc = main(
         ["simulate", "--workload", "462.libquantum", "--scale", "0.02",
-         "--prefetcher", "spp"]
+         "--prefetcher", "isb"]
     )
     assert rc == 0
-    assert "SPP" in capsys.readouterr().out
+    assert "ISB" in capsys.readouterr().out
 
 
 def test_hierarchy_subcommand(capsys):

@@ -11,12 +11,8 @@ import pytest
 
 from repro.prefetch import (
     BestOffsetPrefetcher,
-    GHBPrefetcher,
     ISBPrefetcher,
-    MarkovPrefetcher,
     NextLinePrefetcher,
-    SMSPrefetcher,
-    SPPPrefetcher,
     StreamPrefetcher,
     StridePrefetcher,
 )
@@ -32,10 +28,6 @@ ALL_RULE_BASED = [
     ISBPrefetcher,
     StridePrefetcher,
     NextLinePrefetcher,
-    SPPPrefetcher,
-    SMSPrefetcher,
-    lambda: GHBPrefetcher("global"),
-    MarkovPrefetcher,
     StreamPrefetcher,
 ]
 

@@ -1,19 +1,16 @@
-"""Phase detection and graph-analytics workload generators."""
+"""Phase detection."""
 
 import numpy as np
 import pytest
 
 from repro.traces import (
     FEATURE_NAMES,
-    GRAPH_WORKLOADS,
     detect_phases,
-    make_graph_workload,
     phase_summary,
     phase_transition_matrix,
     window_features,
 )
 from repro.traces.generators import RandomPhase, StreamPhase, compose_trace
-from repro.traces.graph_workloads import PC_EDGES, PC_GATHER, PC_OFFSETS
 
 
 def _two_phase_trace(n=4096):
@@ -94,69 +91,6 @@ def test_transition_matrix_two_phase_trace_is_blocky():
     mat = phase_transition_matrix(labels, 2)
     # phases are long-lived: self-transition dominates
     assert mat[0, 0] > 0.5 and mat[1, 1] > 0.5
-
-
-# ------------------------------------------------------------------- graph
-def test_graph_workload_names():
-    with pytest.raises(ValueError):
-        make_graph_workload("sssp")
-    assert set(GRAPH_WORKLOADS) == {"bfs", "pagerank", "cc"}
-
-
-@pytest.mark.parametrize("kind", GRAPH_WORKLOADS)
-def test_graph_workload_shape_and_streams(kind):
-    tr = make_graph_workload(kind, n_vertices=300, avg_degree=4, seed=1)
-    assert len(tr) > 300
-    pcs = set(np.unique(tr.pcs).tolist())
-    assert pcs == {PC_OFFSETS, PC_EDGES, PC_GATHER}
-    assert np.all(np.diff(tr.instr_ids) >= 1)
-
-
-def test_graph_workload_deterministic():
-    a = make_graph_workload("bfs", n_vertices=200, seed=7)
-    b = make_graph_workload("bfs", n_vertices=200, seed=7)
-    np.testing.assert_array_equal(a.addrs, b.addrs)
-    c = make_graph_workload("bfs", n_vertices=200, seed=8)
-    assert not np.array_equal(a.addrs, c.addrs)
-
-
-def test_pagerank_iterations_scale_length():
-    one = make_graph_workload("pagerank", n_vertices=200, iterations=1, seed=0)
-    two = make_graph_workload("pagerank", n_vertices=200, iterations=2, seed=0)
-    assert abs(len(two) - 2 * len(one)) < 4
-
-
-def test_cc_frontier_shrinks():
-    tr1 = make_graph_workload("cc", n_vertices=300, iterations=1, seed=0)
-    tr3 = make_graph_workload("cc", n_vertices=300, iterations=3, seed=0)
-    # later iterations add less than the first (shrinking active set)
-    assert len(tr3) < 3 * len(tr1)
-    assert len(tr3) > len(tr1)
-
-
-def test_gather_stream_is_the_irregular_one():
-    tr = make_graph_workload("pagerank", n_vertices=500, avg_degree=6, seed=2)
-    blocks = tr.block_addrs
-    gather = blocks[tr.pcs == PC_GATHER]
-    edges = blocks[tr.pcs == PC_EDGES]
-    # adjacency runs are locally sequential; gathers jump around
-    gather_jump = np.abs(np.diff(gather)).mean()
-    edge_jump = np.abs(np.diff(edges)).mean()
-    assert gather_jump > 5 * edge_jump
-
-
-def test_graph_trace_runs_through_simulator_and_prefetchers():
-    from repro.prefetch import BestOffsetPrefetcher, ISBPrefetcher
-    from repro.sim import ipc_improvement, simulate
-
-    tr = make_graph_workload("bfs", n_vertices=400, avg_degree=6, seed=3)
-    base = simulate(tr, None)
-    bo = simulate(tr, BestOffsetPrefetcher())
-    isb = simulate(tr, ISBPrefetcher())
-    assert base.ipc > 0
-    # the offsets/edges streams give spatial prefetchers something to catch
-    assert ipc_improvement(bo, base) > -0.05
-    assert 0.0 <= isb.accuracy <= 1.0
 
 
 def test_detect_phases_is_deterministic_without_scipy():

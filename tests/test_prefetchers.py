@@ -1,4 +1,4 @@
-"""Rule-based prefetchers: BO, ISB, stride, next-line."""
+"""Rule-based prefetchers: BO, ISB, stride, next-line, streamer."""
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from repro.prefetch import (
     ISBPrefetcher,
     NextLinePrefetcher,
     PrecomputedPrefetcher,
+    StreamPrefetcher,
     StridePrefetcher,
 )
 from repro.prefetch.bo import michaud_offsets
@@ -227,3 +228,47 @@ def test_describe_reports_table9_fields():
     d = bo.describe()
     assert d["name"] == "BO" and d["latency_cycles"] == 60
     assert ISBPrefetcher().describe()["latency_cycles"] == 30
+
+
+# ---------------------------------------------------------------- Streamer
+def _block_trace(blocks):
+    blocks = np.asarray(blocks, dtype=np.int64)
+    n = len(blocks)
+    return MemoryTrace(np.arange(1, n + 1) * 10, np.zeros(n, dtype=np.int64), blocks << 6)
+
+
+def _future_hit_rate(trace, lists, horizon):
+    """Fraction of predictions that appear in the next `horizon` accesses."""
+    blocks = trace.block_addrs
+    hits = total = 0
+    for i, lst in enumerate(lists):
+        future = set(int(b) for b in blocks[i + 1 : i + 1 + horizon])
+        for p in lst:
+            total += 1
+            hits += p in future
+    return hits / total if total else 0.0
+
+
+def test_streamer_follows_ascending_stream():
+    tr = _block_trace(range(0, 400))
+    lists = StreamPrefetcher(degree=4).prefetch_lists(tr)
+    assert _future_hit_rate(tr, lists, horizon=16) > 0.9
+    assert sum(map(len, lists)) > 300
+
+
+def test_streamer_follows_descending_stream():
+    tr = _block_trace(range(4000, 3600, -1))
+    lists = StreamPrefetcher(degree=4).prefetch_lists(tr)
+    assert _future_hit_rate(tr, lists, horizon=16) > 0.85
+
+
+def test_streamer_needs_confirmation():
+    # too short to confirm with confirm=4
+    lists = StreamPrefetcher(confirm=4).prefetch_lists(_block_trace([0, 1, 2]))
+    assert not any(lists)
+
+
+def test_streamer_quiet_on_random():
+    rng = np.random.default_rng(3)
+    lists = StreamPrefetcher().prefetch_lists(_block_trace(rng.integers(0, 1 << 30, size=500)))
+    assert sum(map(len, lists)) < 50

@@ -1,4 +1,4 @@
-"""Residual PQ and table bit-width quantization."""
+"""Table bit-width quantization."""
 
 import numpy as np
 import pytest
@@ -6,73 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.quantization import (
-    ProductQuantizer,
-    ResidualProductQuantizer,
     apply_bitwidth,
     dequantize_array,
     fake_quantize,
     quantization_snr_db,
     quantize_array,
 )
-
-
-def _data(n=600, d=16, seed=0):
-    rng = np.random.default_rng(seed)
-    # Correlated, multi-modal data: what layer activations look like.
-    centers = rng.standard_normal((8, d)) * 3
-    x = centers[rng.integers(0, 8, size=n)] + rng.standard_normal((n, d)) * 0.5
-    return x
-
-
-# ------------------------------------------------------------- residual PQ
-def test_residual_pq_error_decreases_with_stages():
-    x = _data()
-    errs = []
-    for m in (1, 2, 3):
-        rpq = ResidualProductQuantizer(16, 4, 16, n_stages=m, rng=0).fit(x)
-        errs.append(rpq.quantization_error(x))
-    assert errs[0] > errs[1] > errs[2]
-    assert errs[2] < 0.5 * errs[0]
-
-
-def test_residual_pq_single_stage_matches_plain_pq():
-    x = _data(seed=1)
-    rpq = ResidualProductQuantizer(16, 4, 8, n_stages=1, rng=5).fit(x)
-    pq = ProductQuantizer(16, 4, 8, rng=5).fit(x)
-    assert rpq.quantization_error(x) == pytest.approx(pq.quantization_error(x), rel=0.2)
-
-
-def test_residual_pq_codes_shape_and_roundtrip():
-    x = _data(n=100)
-    rpq = ResidualProductQuantizer(16, 4, 8, n_stages=2, rng=0).fit(x)
-    codes = rpq.encode(x)
-    assert codes.shape == (100, 2, 4)
-    recon = rpq.reconstruct(codes)
-    assert recon.shape == (100, 16)
-    with pytest.raises(ValueError):
-        rpq.reconstruct(codes[:, :1])
-
-
-def test_residual_pq_validation():
-    with pytest.raises(ValueError):
-        ResidualProductQuantizer(16, 4, 8, n_stages=0)
-
-
-def test_residual_pq_cost_models():
-    rpq = ResidualProductQuantizer(16, 4, 16, n_stages=2, rng=0)
-    assert rpq.storage_bits(32, d_out=8) == 2 * 4 * 16 * 8 * 32
-    single = ResidualProductQuantizer(16, 4, 16, n_stages=1, rng=0)
-    assert rpq.latency_cycles() > single.latency_cycles()
-
-
-def test_residual_pq_beats_bigger_k_at_same_storage():
-    """2 stages x K=16 (32 rows of table) vs 1 stage x K=32: residual wins on
-    hard (full-rank Gaussian) data where prototype count saturates."""
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal((800, 16))
-    two_stage = ResidualProductQuantizer(16, 2, 16, n_stages=2, rng=0).fit(x)
-    one_stage = ProductQuantizer(16, 2, 32, rng=0).fit(x)
-    assert two_stage.quantization_error(x) < one_stage.quantization_error(x)
 
 
 # ---------------------------------------------------------------- bitwidth

@@ -16,10 +16,18 @@ size is meaningless.
 
 from __future__ import annotations
 
+import copy
+
+import numpy as np
 import pytest
 
-from repro.prefetch import BestOffsetPrefetcher, NeuralPrefetcher, StreamPrefetcher
-from repro.runtime import MicroBatcher, as_streaming
+from repro.prefetch import (
+    BestOffsetPrefetcher,
+    DARTPrefetcher,
+    NeuralPrefetcher,
+    StreamPrefetcher,
+)
+from repro.runtime import MicroBatcher, ModelArtifact, as_streaming
 
 # The two mid-trace churn columns pin the elastic engine to the same oracle:
 # ElasticSharded with a rescale (grow then shrink) or a migration (there and
@@ -43,6 +51,10 @@ ENGINES = [
     "throttled",
 ]
 MODEL_BACKED = {"dart", "nn"}
+#: Distinct delta lists the DART row must emit per trace. The trained tables
+#: decode to only two, which lets an engine that serves one window's lists at
+#: another window's access pass; the seed-0 random head gives 27 per trace.
+MIN_DART_DELTA_LISTS = 10
 
 
 @pytest.fixture(scope="module")
@@ -51,10 +63,23 @@ def conformance_traces(libquantum_traces):
     return libquantum_traces(2, 450, 21)
 
 
+def _random_head_dart(tabular_student, preprocess_config):
+    """DART over a copy of the shared tables with a seeded random head table,
+    so different windows decode to different delta lists."""
+    tab = copy.deepcopy(tabular_student[0])
+    head = tab.head_table
+    head.table = np.random.default_rng(0).normal(
+        0.0, 3.0 / head.n_subspaces, head.table.shape
+    )
+    return DARTPrefetcher(
+        ModelArtifact(tab, version=1), preprocess_config, threshold=0.4, max_degree=3
+    )
+
+
 @pytest.fixture(scope="module")
-def prefetchers(dart, trained_student, preprocess_config):
+def prefetchers(tabular_student, trained_student, preprocess_config):
     return {
-        "dart": dart,
+        "dart": _random_head_dart(tabular_student, preprocess_config),
         "nn": NeuralPrefetcher(
             trained_student, preprocess_config, name="TransFetch",
             latency_cycles=0, threshold=0.4, max_degree=3,
@@ -67,10 +92,16 @@ def prefetchers(dart, trained_student, preprocess_config):
 @pytest.fixture(scope="module")
 def oracles(prefetchers, conformance_traces):
     """Batch ``prefetch_lists`` per (prefetcher, trace): the ground truth."""
-    return {
+    out = {
         kind: [pf.prefetch_lists(t) for t in conformance_traces]
         for kind, pf in prefetchers.items()
     }
+    for lists, trace in zip(out["dart"], conformance_traces):
+        deltas = {
+            tuple(b - int(blk) for b in row) for row, blk in zip(lists, trace.block_addrs)
+        }
+        assert len(deltas) >= MIN_DART_DELTA_LISTS, f"{len(deltas)} distinct delta lists"
+    return out
 
 
 def drive(stream, trace) -> list[list[int]]:

@@ -3,7 +3,7 @@
 The load-bearing property is **batch/stream equivalence**: for any predictor,
 ``BatchAdapter(p.stream()).prefetch_lists(trace)`` must equal
 ``p.prefetch_lists(trace)`` bit for bit — across rule-based state machines,
-the micro-batched learned path (all batch sizes), ensembles and filters.
+and the micro-batched learned path (all batch sizes).
 """
 
 from __future__ import annotations
@@ -15,16 +15,10 @@ from hypothesis import strategies as st
 
 from repro.prefetch import (
     BestOffsetPrefetcher,
-    CompositePrefetcher,
     DARTPrefetcher,
-    FilteredPrefetcher,
-    GHBPrefetcher,
     ISBPrefetcher,
-    MarkovPrefetcher,
     NextLinePrefetcher,
     Prefetcher,
-    SMSPrefetcher,
-    SPPPrefetcher,
     StreamPrefetcher,
     StridePrefetcher,
 )
@@ -42,15 +36,10 @@ from repro.traces import MemoryTrace
 
 RULE_BASED = [
     BestOffsetPrefetcher,
-    SPPPrefetcher,
     ISBPrefetcher,
-    SMSPrefetcher,
-    lambda: GHBPrefetcher("global"),
-    lambda: GHBPrefetcher("pc"),
     StreamPrefetcher,
     StridePrefetcher,
     lambda: NextLinePrefetcher(degree=2),
-    MarkovPrefetcher,
 ]
 
 
@@ -63,18 +52,6 @@ def _ids(factories):
 def test_rule_based_stream_matches_batch(small_trace, factory):
     pf = factory()
     assert BatchAdapter(pf.stream()).prefetch_lists(small_trace) == pf.prefetch_lists(small_trace)
-
-
-def test_composite_and_filtered_stream_match_batch(small_trace):
-    for pf in (
-        CompositePrefetcher([StreamPrefetcher(), BestOffsetPrefetcher()], max_degree=3),
-        FilteredPrefetcher(BestOffsetPrefetcher(degree=2), window=64),
-        FilteredPrefetcher(CompositePrefetcher([NextLinePrefetcher(2), SPPPrefetcher()])),
-    ):
-        assert (
-            BatchAdapter(pf.stream()).prefetch_lists(small_trace)
-            == pf.prefetch_lists(small_trace)
-        )
 
 
 def test_stream_carries_cost_metadata():
@@ -97,15 +74,14 @@ def test_base_prefetcher_has_no_stream():
     data=st.lists(
         st.tuples(st.integers(0, 5), st.integers(0, 2_000)), min_size=1, max_size=120
     ),
-    which=st.sampled_from(["bo", "spp", "streamer", "markov", "stride"]),
+    which=st.sampled_from(["bo", "isb", "streamer", "stride"]),
 )
 def test_streaming_equivalence_property(data, which):
     """Equivalence holds on arbitrary short (pc, block) sequences."""
     factory = {
         "bo": BestOffsetPrefetcher,
-        "spp": SPPPrefetcher,
+        "isb": ISBPrefetcher,
         "streamer": StreamPrefetcher,
-        "markov": MarkovPrefetcher,
         "stride": StridePrefetcher,
     }[which]
     pcs = np.asarray([p for p, _ in data], dtype=np.int64)
@@ -343,7 +319,7 @@ def test_batch_adapter_round_trips_to_stream():
 # ------------------------------------------------------------------ simulator
 def test_simulator_streaming_mode_matches_batch_for_sync_streams(small_trace):
     cfg = SimConfig()
-    for pf in (BestOffsetPrefetcher(), SPPPrefetcher()):
+    for pf in (BestOffsetPrefetcher(), ISBPrefetcher()):
         a = simulate(small_trace, pf, cfg)
         b = simulate(small_trace, pf, cfg, streaming=True)
         assert (a.cycles, a.demand_hits, a.demand_misses) == (
