@@ -18,12 +18,10 @@ Design notes
 
 from repro.nn.activations import GELU, Dropout, ReLU, Sigmoid, Tanh
 from repro.nn.attention import MultiHeadSelfAttention
-from repro.nn.embedding import Embedding
 from repro.nn.layernorm import LayerNorm
 from repro.nn.linear import Linear
 from repro.nn.losses import (
     bce_with_logits,
-    cross_entropy_with_logits,
     kd_loss,
     mse_loss,
     t_sigmoid,
@@ -52,11 +50,9 @@ __all__ = [
     "Sigmoid",
     "Tanh",
     "MultiHeadSelfAttention",
-    "Embedding",
     "LayerNorm",
     "Linear",
     "bce_with_logits",
-    "cross_entropy_with_logits",
     "kd_loss",
     "mse_loss",
     "t_sigmoid",

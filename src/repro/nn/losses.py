@@ -48,32 +48,6 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     return float((diff * diff).mean()), (2.0 / n) * diff
 
 
-def cross_entropy_with_logits(
-    logits: np.ndarray, targets: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Multi-class cross-entropy on logits (Voyager's page/offset heads).
-
-    ``logits`` is ``(N, C)``; ``targets`` is an ``(N,)`` integer class array.
-    Uses the log-sum-exp trick; gradient is ``(softmax(z) - onehot(t)) / N``.
-    """
-    z = np.asarray(logits, dtype=np.float64)
-    t = np.asarray(targets)
-    if z.ndim != 2:
-        raise ValueError(f"logits must be (N, C), got shape {z.shape}")
-    if t.shape != (z.shape[0],):
-        raise ValueError(f"targets must be (N,), got shape {t.shape}")
-    if t.size and (t.min() < 0 or t.max() >= z.shape[1]):
-        raise IndexError("target class out of range")
-    n = z.shape[0]
-    shifted = z - z.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1)) + z.max(axis=1)
-    picked = z[np.arange(n), t]
-    loss = float((lse - picked).mean())
-    grad = F.softmax(z, axis=1)
-    grad[np.arange(n), t] -= 1.0
-    return loss, grad / n
-
-
 def binary_kl(p: np.ndarray, q: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     """Elementwise KL( Bern(p) || Bern(q) )."""
     p = np.clip(p, eps, 1.0 - eps)

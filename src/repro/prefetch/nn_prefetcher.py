@@ -188,7 +188,7 @@ def head_code_prefetch_lists(
     """:func:`model_prefetch_lists` for a table predictor, each step done once.
 
     ``predictor`` is a :class:`~repro.tabularization.tabular_model.
-    TabularAttentionPredictor`. Each access is segmented and embedded once
+    TabularAttentionPredictor`. Each access is segmented and encoded once
     (``predict_head_codes``). A window's probability row is a function of
     its head code row alone, and :func:`decode_bitmap_probs` reads only that
     row and adds the anchor last. So each distinct code row is decoded once,

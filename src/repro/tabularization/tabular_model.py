@@ -39,6 +39,8 @@ LATENCY_SIGMOID = 1.0
 #: Access keys a model's input map holds before it is cleared. Each key holds
 #: ``T`` rows of ``D`` floats (4 KiB at T=16, D=32) and their QKV codes.
 INPUT_MAP_KEYS = 1024
+#: Layer-0 rows a :class:`PostMemo` holds before it is cleared (8 MiB at D=32).
+POST_MEMO_ROWS = 32_768
 
 
 @dataclass(frozen=True)
@@ -111,13 +113,19 @@ class TabularMSA:
         gives them, or ``None`` to encode them here.
         """
         b, t, d = x.shape
-        h, dh = self.heads, self.head_dim
+        if codes is None:
+            codes = self.qkv.pq.encode(x.reshape(-1, d))  # (B*T, C)
+        return lookup_aggregate(self.out.table, self.out_codes(codes, b, t)).reshape(b, t, d)
+
+    def out_codes(self, codes: np.ndarray, b: int, t: int) -> np.ndarray:
+        """The ``(B·T, C_out)`` out-projection codes of :meth:`query` over
+        ``B`` windows of ``T`` rows with QKV codes ``codes``: its output is
+        the out table's gather-sum of these and nothing else."""
+        d, h, dh = self.dim, self.heads, self.head_dim
 
         def split(m):  # (B, T, D) -> (B*H, T, Dh): heads batch through the kernel
             return m.reshape(b, t, h, dh).transpose(0, 2, 1, 3).reshape(b * h, t, dh)
 
-        if codes is None:
-            codes = self.qkv.pq.encode(x.reshape(-1, d))  # (B*T, C)
         site = self.code_transition()
         if site is None:
             qkv = lookup_aggregate(self.qkv.table, codes).reshape(b, t, 3 * d)
@@ -133,8 +141,8 @@ class TabularMSA:
                       qk.reshape(b, t, 2, h, ck).transpose(2, 4, 0, 3, 1))
             v = lookup_aggregate(v_table, codes).reshape(b, t, d)
             ctx = self.attn.query_codes(iqk[0], iqk[1], split(v))
-        merged = ctx.reshape(b, h, t, dh).transpose(0, 2, 1, 3).reshape(b, t, d)
-        return self.out.query(merged)
+        merged = ctx.reshape(b, h, t, dh).transpose(0, 2, 1, 3).reshape(b * t, d)
+        return self.out.pq.encode(merged)
 
 
 class TabularEncoderLayer:
@@ -177,7 +185,14 @@ class TabularEncoderLayer:
 
     def query(self, x: np.ndarray, codes: np.ndarray | None = None) -> np.ndarray:
         """Layer output; ``codes`` as in :meth:`TabularMSA.query`."""
-        h = self.ln1.query(x + self.msa.query(x, codes))
+        return self.post(x, self.msa.query(x, codes))
+
+    def post(self, x: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """The half after attention: ``ln2(h + ffn(h))`` with ``h = ln1(x + a)``
+        for inputs ``x`` and attention outputs ``a`` of any leading shape.
+        Every op is row-local, so a row's output is a function of its ``x``
+        row and its ``a`` row alone."""
+        h = self.ln1.query(x + a)
         ffn2_codes = self.code_transition()
         if ffn2_codes is None:
             f = self.ffn2.query(np.maximum(self.ffn1.query(h), 0.0))
@@ -198,13 +213,16 @@ class InputMap:
     seen. The map holds ``cap`` keys: a lookup that brings more new keys
     than there is room left for clears it first, and one that brings more
     than ``cap`` distinct keys grows it past ``cap`` to hold them all.
+    :attr:`clears` counts the clears: a row number means the same (key,
+    position) only while it stands still.
     """
 
-    __slots__ = ("cap", "t", "ids", "rows", "codes")
+    __slots__ = ("cap", "t", "clears", "ids", "rows", "codes")
 
     def __init__(self, cap: int, t: int, d: int, c_qkv: int):
         self.cap = cap
         self.t = t
+        self.clears = 0
         self.ids: dict[bytes, int] = {}
         self.rows = np.empty((0, d))
         self.codes = np.empty((c_qkv, 0), dtype=np.intp)
@@ -228,6 +246,83 @@ def key_view(key_codes: np.ndarray) -> np.ndarray:
     ``tolist()`` gives each row's bytes, the key of the input map and of the
     serving emission memo."""
     return key_codes.view(np.dtype((np.void, key_codes.itemsize * key_codes.shape[1])))[:, 0]
+
+
+class PostMemo:
+    """Layer 0's post-attention rows of one :meth:`TabularAttentionPredictor.
+    predict_head_codes` call, by row key (see ``_trunk``).
+
+    :attr:`keys` is sorted; row ``at[i]`` of :attr:`rows` belongs to
+    ``keys[i]``. A key names an input map row, so the memo is emptied when
+    the map it was filled from clears, and when it would pass
+    ``POST_MEMO_ROWS`` rows; one lookup that brings more rows than that
+    grows it to hold them. :attr:`rows` is allocated at the bound once,
+    and only the pages of rows written are resident.
+    """
+
+    __slots__ = ("source", "keys", "at", "rows")
+
+    def __init__(self):
+        self.rows = None
+        self._clear(None)
+
+    def _clear(self, source) -> None:
+        self.source = source
+        self.keys = np.empty(0, dtype=np.int64)
+        self.at = np.empty(0, dtype=np.intp)
+
+    def rows_of(self, m: InputMap, keys: np.ndarray, compute) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, at)`` for the sorted distinct ``keys``: row ``at[i]`` of
+        ``rows`` belongs to ``keys[i]``. Missing rows are written by
+        ``compute(missing keys, out)`` and kept."""
+        if self.source != (m, m.clears):
+            self._clear((m, m.clears))
+        held = len(self.keys)
+        pos = np.searchsorted(self.keys, keys)
+        found = np.zeros(len(keys), dtype=bool)
+        inside = pos < held
+        found[inside] = self.keys[pos[inside]] == keys[inside]
+        if held + len(keys) - np.count_nonzero(found) > POST_MEMO_ROWS:
+            self._clear(self.source)
+            held = 0
+            pos[:] = 0
+            found[:] = False
+        miss = ~found
+        new = keys[miss]
+        if self.rows is None or len(new) > len(self.rows):  # empty when it grows
+            self.rows = np.empty((max(POST_MEMO_ROWS, len(new)), m.rows.shape[1]))
+        compute(new, self.rows[held : held + len(new)])
+        at = np.empty(len(keys), dtype=np.intp)
+        at[found] = self.at[pos[found]]
+        at[miss] = np.arange(held, held + len(new))
+        self.keys = np.insert(self.keys, pos[miss], new)
+        self.at = np.insert(self.at, pos[miss], at[miss])
+        return self.rows, at
+
+
+def _parts(n: int, batch_size: int) -> int:
+    """Row pool workers a batch call of ``n`` rows in ``batch_size`` chunks
+    uses: ``min(workers, batch_size // TASK_ROWS)`` when it has more than one
+    chunk and a chunk holds two tasks, else 0 (the calling thread)."""
+    task = rowpool.TASK_ROWS
+    return min(rowpool.workers(), batch_size // task) if n > batch_size >= 2 * task else 0
+
+
+def _fan(job, n: int, parts: int, rows: int = rowpool.TASK_ROWS) -> None:
+    """``job(s, e)`` over the ``rows``-row chunks of ``0 .. n``.
+
+    With ``parts >= 2``, worker ``j`` of the row pool runs chunks ``j, j +
+    parts, …``, so at most ``parts · rows`` rows are in flight; otherwise
+    the calling thread runs them all in order.
+    """
+    def run(j, step):
+        for s in range(j * rows, n, step * rows):
+            job(s, min(s + rows, n))
+
+    if parts >= 2:
+        rowpool.run(lambda j: run(j, parts), parts)
+    else:
+        run(0, 1)
 
 
 class TabularAttentionPredictor:
@@ -307,6 +402,7 @@ class TabularAttentionPredictor:
         new = [key for key in dict.fromkeys(keys) if key not in ids]
         if len(ids) + len(new) > m.cap:
             ids.clear()
+            m.clears += 1
             new = list(dict.fromkeys(keys))
         m.reserve(len(ids) + len(new))
         t, ca = m.t, self.addr_table.n_subspaces
@@ -323,32 +419,101 @@ class TabularAttentionPredictor:
             ids[key] = lo + i * t
         return [ids[key] for key in keys]
 
+    def _access_keys(self, acc_addr: np.ndarray, acc_pc: np.ndarray) -> np.ndarray:
+        """Each access's input map key, its addr then pc codes, as one void
+        item (:func:`key_view`; ``tolist()`` gives the bytes)."""
+        ca = self.addr_table.n_subspaces
+        key_codes = np.empty((len(acc_addr), ca + self.pc_table.n_subspaces), dtype=np.intp)
+        key_codes[:, :ca] = self.addr_table.pq.encode(acc_addr)
+        key_codes[:, ca:] = self.pc_table.pq.encode(acc_pc)
+        return key_view(key_codes)
+
     def window_head_codes(
         self, acc_addr: np.ndarray, acc_pc: np.ndarray, starts: np.ndarray
     ) -> np.ndarray:
         """Head codes of the windows ``acc[s : s + T]`` for ``s`` in ``starts``.
 
         ``acc_addr``/``acc_pc`` are per-access features ``(n, S)`` /
-        ``(n, S_pc)``. Each access is encoded once and keyed; layer 0's input
-        rows and QKV codes are gathered from the :meth:`input_map` by (key,
-        window position), and the rest of the trunk runs through the generic
-        ops. Returns ``(len(starts), C_out)`` intp, C-contiguous: row ``i``
-        is the head code row :meth:`predict_proba` reaches for that window.
+        ``(n, S_pc)``. Each access is encoded once and keyed, and the trunk
+        runs from the :meth:`input_map` (see :meth:`_trunk`). Returns
+        ``(len(starts), C_out)`` intp, C-contiguous: row ``i`` is the head
+        code row :meth:`predict_proba` reaches for that window.
         """
-        t = self.model_config.history_len
-        ca = self.addr_table.n_subspaces
-        key_codes = np.empty((len(acc_addr), ca + self.pc_table.n_subspaces), dtype=np.intp)
-        key_codes[:, :ca] = self.addr_table.pq.encode(acc_addr)
-        key_codes[:, ca:] = self.pc_table.pq.encode(acc_pc)
-        m, bases = self.input_bases(key_view(key_codes).tolist())
-        pos = np.arange(t)
-        idx = np.take(bases, np.add.outer(starts, pos)) + pos  # (k, T) flat map rows
-        h = m.rows.take(idx, 0)
-        codes = m.codes.take(idx.reshape(-1), 1).T  # (k·T, C), as pq.encode lays it out
-        for layer in self.layers:
-            h = layer.query(h, codes)
-            codes = None  # later layers encode their own input
-        return np.ascontiguousarray(self.head_table.pq.encode(h.mean(axis=-2)))
+        m, bases = self.input_bases(self._access_keys(acc_addr, acc_pc).tolist())
+        return self._trunk(m, self._map_rows(bases, starts))
+
+    def _map_rows(self, bases: list, starts: np.ndarray) -> np.ndarray:
+        """``(len(starts), T)`` flat input map rows of the windows at ``starts``."""
+        pos = np.arange(self.model_config.history_len)
+        return np.take(bases, np.add.outer(starts, pos)) + pos
+
+    def _trunk(
+        self, m: InputMap, idx: np.ndarray, memo: PostMemo | None = None, parts: int = 0
+    ) -> np.ndarray:
+        """Head codes of the windows whose layer-0 rows are map rows ``idx`` ``(k, T)``.
+
+        Layer 0 runs its attention up to the out-projection codes. The half
+        after it (:meth:`TabularEncoderLayer.post`) is row-local, so a row's
+        output there is a function of its map row (access key and position)
+        and its out code tuple. Each row is keyed ``map row · K_out**C_out +
+        out tuple``, the half runs once per distinct key (or comes from
+        ``memo``), and its rows are gathered back for ``layers[1:]``, the
+        mean pool and the head encode. Where that key could pass int64,
+        every row runs the half. ``parts >= 2`` runs the attention, the half
+        and the tail as row pool jobs in ``TASK_ROWS``-window chunks (the
+        rows of the half in as many rows); the key sort and the memo run in
+        the calling thread.
+        """
+        k, t = idx.shape
+        layer0, head = self.layers[0], self.head_table.pq
+        out_table = layer0.msa.out.table
+        c_out, k_out = out_table.shape[:2]
+        radix, n_tuples = tuple_radix(out_table), k_out**c_out
+        keyed = n_tuples * m.rows.shape[0] < 2**63
+        flat = idx.reshape(-1)
+        keys = np.empty(k * t, dtype=np.int64)
+        out_codes = None if keyed else np.empty((k * t, c_out), dtype=np.intp)
+
+        def attend(s, e):
+            rows = idx[s:e]
+            codes = layer0.msa.out_codes(m.codes.take(rows.reshape(-1), 1).T, e - s, t)
+            if keyed:
+                np.add(flat[s * t : e * t] * n_tuples, codes @ radix, out=keys[s * t : e * t])
+            else:
+                out_codes[s * t : e * t] = codes
+
+        def compute(keys, out):  # the half for distinct keys, into ``out``
+            def job(s, e):
+                part = keys[s:e]
+                out[s:e] = layer0.post(m.rows.take(part // n_tuples, 0),
+                                       lookup_aggregate(out_table, part[:, None] // radix % k_out))
+
+            _fan(job, len(keys), parts, rowpool.TASK_ROWS * t)
+
+        _fan(attend, k, parts)
+        if keyed:
+            uniq, inverse = np.unique(keys, return_inverse=True)
+            if memo is None:
+                post = np.empty((len(uniq), m.rows.shape[1]))
+                compute(uniq, post)
+            else:
+                post, at = memo.rows_of(m, uniq, compute)
+                inverse = at.take(inverse)
+        result = np.empty((k, head.n_subspaces), dtype=np.intp)
+
+        def finish(s, e):
+            rows = slice(s * t, e * t)
+            if keyed:
+                h = post.take(inverse[rows], 0)
+            else:
+                h = layer0.post(m.rows.take(flat[rows], 0), lookup_aggregate(out_table, out_codes[rows]))
+            h = h.reshape(e - s, t, -1)
+            for layer in self.layers[1:]:
+                h = layer.query(h)
+            result[s:e] = head.encode(h.mean(axis=-2))
+
+        _fan(finish, k, parts)
+        return result
 
     # ------------------------------------------------------------------ query
     def embed(self, x_addr: np.ndarray, x_pc: np.ndarray) -> np.ndarray:
@@ -431,11 +596,14 @@ class TabularAttentionPredictor:
             raise ValueError(
                 f"out must have shape {(n, self.model_config.bitmap_size)}, got {out.shape}"
             )
-        self._chunks(
-            n, batch_size,
-            lambda s, e: self.embed(x_addr[s:e], x_pc[s:e]),
-            lambda s, e, codes: self.head_proba(codes, out[s:e]),
-        )
+        head = self.head_table.pq
+
+        def chunk(s, e):
+            h = self._pooled(self.embed(x_addr[s:e], x_pc[s:e]))
+            self.head_proba(head.encode(h), out[s:e])
+
+        parts = _parts(n, batch_size)
+        _fan(chunk, n, parts, rowpool.TASK_ROWS if parts >= 2 else batch_size)
         return out
 
     def predict_head_codes(
@@ -444,26 +612,34 @@ class TabularAttentionPredictor:
         """Head code rows of every full window over a run of accesses.
 
         ``acc_addr``/``acc_pc`` are per-access features ``(n, S)`` /
-        ``(n, S_pc)``. Each access is embedded once and the ``n − T + 1``
-        windows are sliding views of that embedding, which gives the same bits
-        as embedding every window (:meth:`embed` is row-local). Returns the
-        ``(n − T + 1, C_out)`` head codes, row ``i`` for the window ending at
-        access ``i + T − 1``; ``head_proba`` of a row equals that window's
-        :meth:`predict_proba` row. Chunks and pooling as in
-        :meth:`predict_proba`.
+        ``(n, S_pc)``. Each access is encoded once and its key numbered
+        among the call's distinct keys. The windows run through
+        :meth:`_trunk` ``batch_size`` at a time, each segment's distinct
+        keys filled into the :meth:`input_map` in the calling thread first,
+        and share one :class:`PostMemo` that lives for this call only.
+        Returns the ``(n − T + 1, C_out)`` head codes, row ``i`` for the
+        window ending at access ``i + T − 1``; ``head_proba`` of a row
+        equals that window's :meth:`predict_proba` row. A call of more than
+        one segment runs each segment's attention, post-attention half and
+        tail on the :mod:`~repro.tabularization.rowpool` workers, by the rule
+        :meth:`predict_proba` splits its chunks by.
         """
         t = self.model_config.history_len
         n = max(acc_addr.shape[0] - t + 1, 0)
         codes = np.empty((n, self.head_table.n_subspaces), dtype=np.intp)
         if n == 0:
             return codes
-        emb = self.embed(acc_addr, acc_pc)  # (n + T - 1, D)
-        windows = np.lib.stride_tricks.sliding_window_view(emb, t, axis=0).transpose(0, 2, 1)
-
-        def keep(s, e, chunk):
-            codes[s:e] = chunk
-
-        self._chunks(n, batch_size, lambda s, e: windows[s:e], keep)
+        keys, ids = np.unique(self._access_keys(acc_addr, acc_pc), return_inverse=True)
+        keys = keys.tolist()
+        bases = np.empty(len(keys), dtype=np.intp)
+        memo = PostMemo()
+        parts = _parts(n, batch_size)
+        for s in range(0, n, batch_size):
+            e = min(s + batch_size, n)
+            seg = ids[s : e + t - 1]
+            held = np.unique(seg)
+            m, bases[held] = self.input_bases([keys[i] for i in held.tolist()])
+            codes[s:e] = self._trunk(m, self._map_rows(bases[seg], np.arange(e - s)), memo, parts)
         return codes
 
     def head_proba(self, codes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -473,28 +649,6 @@ class TabularAttentionPredictor:
             out = np.empty_like(logits)
         idx = np.empty(logits.shape, dtype=np.int64)
         return self.sigmoid.query_into(logits, np.empty_like(logits), idx, out)
-
-    def _chunks(self, n, batch_size, windows, finish):
-        """Run the trunk to head codes over ``n`` rows, ``batch_size`` at a time.
-
-        ``windows(s, e)`` gives the embedded ``(e − s, T, D)`` windows of rows
-        ``s:e`` and ``finish(s, e, codes)`` takes their head codes. A call of
-        more than one ``batch_size`` chunk spreads its rows over the
-        :mod:`~repro.tabularization.rowpool` workers (see :meth:`predict_proba`).
-        """
-        task = rowpool.TASK_ROWS
-        m = min(rowpool.workers(), batch_size // task) if n > batch_size >= 2 * task else 0
-        if m >= 2:
-            rowpool.run(lambda j: self._run_chunks(n, windows, finish, j * task, m * task, task), m)
-        else:
-            self._run_chunks(n, windows, finish, 0, batch_size, batch_size)
-
-    def _run_chunks(self, n, windows, finish, start, step, rows):
-        """The ``rows``-row chunks at ``start``, ``start + step``, … of :meth:`_chunks`."""
-        head = self.head_table.pq
-        for s in range(start, n, step):
-            e = min(s + rows, n)
-            finish(s, e, head.encode(self._pooled(windows(s, e))))
 
     def layer_outputs(self, x_addr: np.ndarray, x_pc: np.ndarray) -> dict[str, np.ndarray]:
         """Named checkpoint activations (keys match ``trunk_activations``)."""

@@ -378,6 +378,24 @@ def test_batched_flushes_equal_oracle(batch_size, max_wait):
     _assert_varied(want, trace)
 
 
+@pytest.mark.parametrize("map_keys", [1024, 4])
+@pytest.mark.parametrize("k, c, encoder, layers",
+                         [(64, 3, "exact", 1), (64, 3, "hash", 2), (16, 2, "hash", 2)])
+def test_batched_flushes_equal_oracle_across_trunks(k, c, encoder, layers, map_keys,
+                                                    monkeypatch):
+    """Each k > 1 flush runs layer 0's post-attention half once per distinct
+    (map row, out tuple) of the flush: unmapped QKV codes, the hash encoder,
+    a second layer, and a map that clears in most flushes."""
+    monkeypatch.setattr(tabular_model, "INPUT_MAP_KEYS", map_keys)
+    model = _model(k, c, encoder, layers, seed=40 + k + c + layers)
+    trace = _trace(400, app="602.gcc")
+    want = _oracle(model, trace)
+    assert _served(model, trace, batch_size=32, max_wait=9) == want
+    _assert_varied(want, trace)
+    if map_keys == 4:
+        assert model.input_map().clears > 1
+
+
 def _drive_uneven(handles, traces, weights, rng):
     """Feed each handle its trace, picking the next stream at random with
     the given weights; returns each stream's lists."""

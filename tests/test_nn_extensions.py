@@ -1,5 +1,5 @@
-"""NN substrate extensions: Embedding, learned positions, GELU/Tanh,
-cross-entropy, LR schedulers — gradients verified by finite differences."""
+"""NN substrate extensions: learned positions, GELU/Tanh, LR schedulers —
+gradients verified by finite differences."""
 
 import numpy as np
 import pytest
@@ -11,13 +11,11 @@ from repro.nn import (
     SGD,
     Adam,
     CosineAnnealingLR,
-    Embedding,
     ExponentialLR,
     LearnedPositionalEmbedding,
     StepLR,
     Tanh,
     WarmupCosineLR,
-    cross_entropy_with_logits,
 )
 from repro.nn import functional as F
 
@@ -34,57 +32,6 @@ def _num_grad(fn, arr, idx):
     lm = fn()
     flat[idx] = orig
     return (lp - lm) / (2 * EPS)
-
-
-# --------------------------------------------------------------- Embedding
-def test_embedding_forward_shape_and_rows():
-    emb = Embedding(10, 4, rng=0)
-    idx = np.array([[1, 3], [3, 9]])
-    out = emb.forward(idx)
-    assert out.shape == (2, 2, 4)
-    np.testing.assert_array_equal(out[0, 1], out[1, 0])  # same row 3
-
-
-def test_embedding_rejects_bad_indices():
-    emb = Embedding(4, 2)
-    with pytest.raises(IndexError):
-        emb.forward(np.array([4]))
-    with pytest.raises(IndexError):
-        emb.forward(np.array([-1]))
-    with pytest.raises(TypeError):
-        emb.forward(np.array([0.5]))
-    with pytest.raises(ValueError):
-        Embedding(0, 2)
-
-
-def test_embedding_gradient_accumulates_repeats():
-    """Repeated indices must sum their gradients (np.add.at semantics)."""
-    emb = Embedding(5, 3, rng=1)
-    idx = np.array([2, 2, 2])
-    emb.forward(idx)
-    g = np.ones((3, 3))
-    emb.zero_grad()
-    emb.backward(g)
-    np.testing.assert_allclose(emb.weight.grad[2], 3.0 * np.ones(3))
-    np.testing.assert_allclose(emb.weight.grad[0], 0.0)
-
-
-def test_embedding_finite_difference():
-    rng = np.random.default_rng(0)
-    emb = Embedding(8, 5, rng=2)
-    idx = rng.integers(0, 8, size=(3, 4))
-    g_out = rng.standard_normal((3, 4, 5))
-
-    def loss():
-        return float((emb.forward(idx) * g_out).sum())
-
-    emb.forward(idx)
-    emb.zero_grad()
-    emb.backward(g_out)
-    flat_grad = emb.weight.grad.reshape(-1)
-    for j in rng.choice(emb.weight.value.size, size=10, replace=False):
-        num = _num_grad(loss, emb.weight.value, j)
-        assert abs(num - flat_grad[j]) < TOL * max(1.0, abs(num))
 
 
 # ------------------------------------------------------- learned positions
@@ -152,50 +99,6 @@ def test_tanh_range():
     t = Tanh()
     out = t.forward(np.linspace(-5, 5, 11))
     assert np.all(np.abs(out) < 1.0)
-
-
-# ----------------------------------------------------------- cross-entropy
-def test_cross_entropy_perfect_prediction_low_loss():
-    logits = np.array([[10.0, -10.0], [-10.0, 10.0]])
-    loss, _ = cross_entropy_with_logits(logits, np.array([0, 1]))
-    assert loss < 1e-4
-
-
-def test_cross_entropy_uniform_logits():
-    logits = np.zeros((4, 8))
-    loss, grad = cross_entropy_with_logits(logits, np.zeros(4, dtype=int))
-    np.testing.assert_allclose(loss, np.log(8))
-    assert grad.shape == (4, 8)
-
-
-def test_cross_entropy_validation():
-    with pytest.raises(ValueError):
-        cross_entropy_with_logits(np.zeros((2, 3, 4)), np.zeros(2, dtype=int))
-    with pytest.raises(ValueError):
-        cross_entropy_with_logits(np.zeros((2, 3)), np.zeros(3, dtype=int))
-    with pytest.raises(IndexError):
-        cross_entropy_with_logits(np.zeros((2, 3)), np.array([0, 3]))
-
-
-def test_cross_entropy_gradient_finite_difference():
-    rng = np.random.default_rng(3)
-    z = rng.standard_normal((5, 7))
-    t = rng.integers(0, 7, size=5)
-    _, grad = cross_entropy_with_logits(z, t)
-
-    def loss():
-        return cross_entropy_with_logits(z, t)[0]
-
-    for j in rng.choice(z.size, size=12, replace=False):
-        num = _num_grad(loss, z, j)
-        assert abs(num - grad.reshape(-1)[j]) < 1e-5 * max(1.0, abs(num))
-
-
-def test_cross_entropy_grad_sums_to_zero_per_row():
-    rng = np.random.default_rng(4)
-    z = rng.standard_normal((6, 4))
-    _, grad = cross_entropy_with_logits(z, rng.integers(0, 4, size=6))
-    np.testing.assert_allclose(grad.sum(axis=1), 0.0, atol=1e-12)
 
 
 # -------------------------------------------------------------- schedulers
@@ -274,13 +177,3 @@ def test_property_softmax_rows_sum_to_one(n, c):
     s = F.softmax(z, axis=1)
     np.testing.assert_allclose(s.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(s >= 0)
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(1, 40))
-def test_property_cross_entropy_nonnegative(n):
-    rng = np.random.default_rng(n)
-    z = rng.standard_normal((n, 5)) * 5
-    t = rng.integers(0, 5, size=n)
-    loss, _ = cross_entropy_with_logits(z, t)
-    assert loss >= 0.0

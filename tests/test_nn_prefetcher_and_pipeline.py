@@ -98,7 +98,6 @@ def test_dart_prefetching_improves_ipc(tabular_student, small_trace, preprocess_
 
 
 # ------------------------------------------------------------ pipeline e2e
-@pytest.mark.slow
 def test_pipeline_end_to_end_smoke():
     trace = make_workload("462.libquantum", scale=0.02, seed=5)
     pp = PreprocessConfig(history_len=8, window=6, delta_range=32)
