@@ -1,9 +1,12 @@
-"""Golden outputs of the multi-core and contention simulators.
+"""Golden outputs of every simulator: flat LLC, hierarchy, multi-core, contention.
 
-Every field the two worlds report — each core's/tenant's ``SimResult``
-(cycles exactly), the level stats, the DRAM counters, pollution and
-interconnect statistics — is pinned against ``data/sim_goldens.json``, so a
-refactor of the event loop cannot move a single number unnoticed.
+Every field the simulators report — each run's, core's or tenant's
+``SimResult`` (cycles exactly), the level stats, the DRAM counters, TLB and
+paging counters, pollution and interconnect statistics — is pinned against
+``data/sim_goldens.json``, so a refactor of an event loop cannot move a
+single number unnoticed. The flat :func:`~repro.sim.simulate` is the one
+the paper's Figs. 12–14 run; :func:`~repro.sim.simulate_hierarchy` is the
+detailed single-core loop.
 
 The DART case depends on a trained model, whose float arithmetic may differ
 on another BLAS build. Its golden therefore also records a digest of the
@@ -23,9 +26,10 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.prefetch import PrecomputedPrefetcher, StreamPrefetcher
+from repro.prefetch import BestOffsetPrefetcher, PrecomputedPrefetcher, StreamPrefetcher
 from repro.runtime import AdmissionController, Emission, ThrottleConfig, as_streaming
 from repro.runtime.streaming import StreamingPrefetcher
 from repro.sim import (
@@ -33,8 +37,11 @@ from repro.sim import (
     HierarchyConfig,
     LevelConfig,
     PoisonedStream,
+    SimConfig,
     extract_llc_stream,
+    simulate,
     simulate_contention,
+    simulate_hierarchy,
 )
 from repro.sim.multicore import simulate_multicore
 from repro.traces import make_workload
@@ -81,6 +88,83 @@ def _llc_subtrace(trace: MemoryTrace, cfg: HierarchyConfig) -> MemoryTrace:
     return MemoryTrace(
         trace.instr_ids[idxs], trace.pcs[idxs], trace.addrs[idxs], name=trace.name
     )
+
+
+def _reuse_trace(n: int = 3000) -> MemoryTrace:
+    """A sequential stream interleaved with random reuse of 1,400 blocks.
+
+    The synthetic workloads barely reuse a line at small scale, so their
+    hits come from prefetching alone. Here every third access continues a
+    stream (work for the prefetchers) and the rest revisit a footprint
+    larger than the 64 KB LLC, so the replacement policy decides hits.
+    """
+    rng = np.random.default_rng(0)
+    idx = np.arange(n)
+    stream = (1 << 20) + idx // 3
+    reuse = rng.integers(0, 1400, n)
+    blocks = np.where(idx % 3 == 0, stream, reuse).astype(np.int64)
+    pcs = np.where(idx % 3 == 0, 0x400, 0x500 + (reuse & 7)).astype(np.int64)
+    instr_ids = np.cumsum(rng.integers(1, 20, n)).astype(np.int64)
+    return MemoryTrace(instr_ids, pcs, blocks << BLOCK_BITS, name="reuse")
+
+
+def _flat_cases() -> dict:
+    """The flat LLC simulator, on a 64 KB LLC so the trace evicts."""
+    cfg = SimConfig(llc_capacity_bytes=64 * 1024, llc_ways=8)
+    trace = _reuse_trace()
+    ahead = [
+        [int(trace.block_addrs[i + 12])] if i + 12 < len(trace) else []
+        for i in range(len(trace))
+    ]
+    cases = {
+        "none": simulate(trace, config=cfg),
+        "none_table3": simulate(trace),
+        "bo": simulate(trace, BestOffsetPrefetcher(), cfg),
+        "streamer": simulate(trace, StreamPrefetcher(), cfg),
+        "streamer_streaming": simulate(trace, StreamPrefetcher(), cfg, streaming=True),
+        "precomputed_lat30_ahead12": simulate(
+            trace, PrecomputedPrefetcher(ahead, latency_cycles=30), cfg
+        ),
+    }
+    return {name: _plain(dataclasses.asdict(r)) for name, r in cases.items()}
+
+
+def _hierarchy_snapshot(r) -> dict:
+    return _plain(
+        {
+            "sim": dataclasses.asdict(r.sim),
+            "l1d": r.l1d.as_dict(),
+            "l2": r.l2.as_dict(),
+            "llc": r.llc.as_dict(),
+            "dram": r.dram,
+            "tlb_hit_rate": r.tlb_hit_rate,
+            "pages_touched": r.pages_touched,
+        }
+    )
+
+
+def _hierarchy_cases() -> dict:
+    """The single-core hierarchy: Table III, and a small one that evicts."""
+    trace = _reuse_trace()
+    small = dataclasses.replace(_mc_cfg(), paging=True)
+    plru = dataclasses.replace(
+        small,
+        l1d=dataclasses.replace(small.l1d, policy="plru"),
+        l2=dataclasses.replace(small.l2, policy="plru"),
+        llc=dataclasses.replace(small.llc, policy="plru"),
+    )
+    writes = (trace.addrs // 64) % 3 == 0
+    cases = {
+        "table3_lru": simulate_hierarchy(trace),
+        "small_lru": simulate_hierarchy(trace, config=small),
+        "small_plru": simulate_hierarchy(trace, config=plru),
+        "small_writes": simulate_hierarchy(trace, config=small, writes=writes),
+        "small_tlb": simulate_hierarchy(
+            trace, config=dataclasses.replace(small, tlb=True)
+        ),
+        "small_streamer": simulate_hierarchy(trace, StreamPrefetcher(), small),
+    }
+    return {name: _hierarchy_snapshot(r) for name, r in cases.items()}
 
 
 def _multicore_snapshot(r) -> dict:
@@ -207,6 +291,14 @@ def _assert_cases_equal(got: dict, want: dict) -> None:
     assert sorted(got) == sorted(want)
     for name in want:
         assert got[name] == want[name], f"golden case {name!r} moved"
+
+
+def test_flat_goldens():
+    _assert_cases_equal(_flat_cases(), GOLDENS["flat"])
+
+
+def test_hierarchy_goldens():
+    _assert_cases_equal(_hierarchy_cases(), GOLDENS["hierarchy"])
 
 
 def test_multicore_goldens():
