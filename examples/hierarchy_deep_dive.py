@@ -65,7 +65,7 @@ def main() -> None:
     from dataclasses import replace
 
     base_cfg = HierarchyConfig()
-    for policy in ("lru", "srrip", "drrip", "plru", "random"):
+    for policy in ("lru", "plru"):
         cfg = replace(base_cfg, llc=replace(base_cfg.llc, policy=policy))
         r = simulate_hierarchy(trace, None, cfg)
         print(f"  {policy:7s} LLC hit {r.llc.hit_rate:7.2%}   IPC {r.sim.ipc:.3f}")

@@ -768,8 +768,6 @@ def _cmd_hierarchy(args) -> int:
 
     trace = _load_trace(args)
     cfg = HierarchyConfig(paging=not args.no_paging, tlb=args.tlb)
-    if args.replacement:
-        cfg = cfg.with_replacement(args.replacement)
     base = simulate_hierarchy(trace, None, cfg, name="baseline")
     rows = [
         ["baseline", f"{base.sim.ipc:.3f}", "-",
@@ -802,8 +800,6 @@ def _cmd_multicore(args) -> int:
         for i, w in enumerate(args.workloads)
     ]
     cfg = HierarchyConfig()
-    if args.replacement:
-        cfg = cfg.with_replacement(args.replacement)
     if args.share_model:
         shared = _make_prefetcher(args.prefetcher, args.tables)
         if shared is None or not hasattr(shared, "multistream"):
@@ -831,7 +827,6 @@ def _cmd_multicore(args) -> int:
 
 def _cmd_contend(args) -> int:
     import json
-    from dataclasses import replace
 
     from repro.runtime import AdmissionController, ThrottleConfig, as_streaming
     from repro.sim import ContentionConfig, PoisonedStream, simulate_contention
@@ -841,11 +836,7 @@ def _cmd_contend(args) -> int:
         make_workload(w, scale=args.scale, seed=args.seed + i)
         for i, w in enumerate(args.workloads)
     ]
-    policy = args.replacement or "plru"
-    default = ContentionConfig()
     cfg = ContentionConfig(
-        l1=replace(default.l1, policy=policy),
-        l2=replace(default.l2, policy=policy),
         slots_per_cycle=args.slots,
         prefetch_level=args.prefetch_level,
     )
@@ -886,7 +877,7 @@ def _cmd_contend(args) -> int:
         f"{res.l2.hit_rate:.2%}", "-", "-", "-", "-",
     ])
     title = (
-        f"{len(traces)}-tenant contention world (shared {policy.upper()} L2, "
+        f"{len(traces)}-tenant contention world (shared {cfg.l2.policy.upper()} L2, "
         f"{args.slots} slot/cycle, prefetch->{args.prefetch_level}"
         + (", throttled" if args.throttle else "") + ")"
     )
@@ -1013,8 +1004,6 @@ def _cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.sim import policy_names
-
     parser = argparse.ArgumentParser(
         prog="repro", description="DART reproduction command-line tools"
     )
@@ -1149,9 +1138,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_hier.add_argument("--tables", default=None)
     p_hier.add_argument("--no-paging", action="store_true", help="skip virtual->physical")
     p_hier.add_argument("--tlb", action="store_true", help="model a 64-entry data TLB")
-    p_hier.add_argument("--replacement", choices=policy_names(), default=None,
-                        help="replacement policy for every cache level "
-                             "(default: per-level config, LRU)")
     p_hier.set_defaults(func=_cmd_hierarchy)
 
     p_mc = sub.add_parser("multicore", help="N cores sharing one LLC and DRAM")
@@ -1163,8 +1149,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--share-model", action="store_true",
                       help="serve all cores from one shared model "
                            "(cross-core micro-batching; model-backed only)")
-    p_mc.add_argument("--replacement", choices=policy_names(), default=None,
-                      help="replacement policy for every cache level")
     p_mc.set_defaults(func=_cmd_multicore)
 
     p_con = sub.add_parser(
@@ -1192,8 +1176,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--slots", type=int, default=1,
                        help="interconnect grants per cycle")
     p_con.add_argument("--prefetch-level", choices=["l1", "l2"], default="l2")
-    p_con.add_argument("--replacement", choices=policy_names(), default=None,
-                       help="L1/L2 replacement policy (default plru)")
     p_con.add_argument("--json", default=None, help="write the full summary here")
     p_con.set_defaults(func=_cmd_contend)
 

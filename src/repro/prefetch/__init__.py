@@ -7,11 +7,11 @@ the tabular predictor. The cost model (Eqs. 16–23) and the table configurator
 (Sec. VI-C) live here too, since they answer prefetcher design questions.
 
 The classic stream buffer (:class:`StreamPrefetcher`) drives the multicore
-goldens and the report's shootout; FDP throttling (:class:`FeedbackThrottle`)
-and the timeliness analysis wrap any of them.
+goldens and the report's shootout; the timeliness analysis wraps any of
+them. Degree throttling is not a prefetcher concern here: the one throttle
+is the serving-side :class:`repro.runtime.AdmissionController`.
 """
 
-from repro.prefetch.adaptive import FeedbackThrottle, ThrottleConfig
 from repro.prefetch.analysis import TimelinessReport, analyze_timeliness, compare_timeliness
 from repro.prefetch.base import Prefetcher, PrecomputedPrefetcher, SequentialPrefetcher
 from repro.prefetch.bo import BestOffsetPrefetcher
@@ -61,8 +61,6 @@ __all__ = [
     "tabular_model_ops",
     "tabular_model_storage_bits",
     "DARTPrefetcher",
-    "FeedbackThrottle",
-    "ThrottleConfig",
     "TimelinessReport",
     "analyze_timeliness",
     "compare_timeliness",

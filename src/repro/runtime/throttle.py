@@ -29,12 +29,10 @@ pre-filter emissions, so accuracy keeps updating while the tenant is
 throttled and recovery is detectable (a dropped tenant judged on its
 delivered — empty — emissions could never climb back).
 
-This is the serving-side sibling of the simulator's feedback-directed
-degree controller (:class:`repro.prefetch.adaptive.FeedbackThrottle`, FDP):
-FDP tunes one prefetcher's degree from cache-event counters inside a batch
-simulation, while this module gates *admission per tenant* on a live fleet
-from stream-level accuracy alone — no cache state needed, so it runs in the
-serving path itself.
+This is the package's one prefetch throttle. It gates *admission per
+tenant* on a live fleet from stream-level accuracy alone — no cache state
+needed, so it runs in the serving path itself. The paper's simulator runs
+with no degree throttle, so :func:`repro.sim.simulate` has none either.
 
 Seq numbering is never altered, so throttled streams still satisfy the
 exactly-once ascending emission contract (:mod:`repro.runtime.replay`) and

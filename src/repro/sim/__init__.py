@@ -6,7 +6,7 @@ MSHR-bounded memory parallelism, prefetch timeliness):
 * :func:`simulate` — the fast LLC-only simulator used by the paper's
   experiments (Figs. 12–14): set-associative LRU LLC + flat DRAM latency.
 * :func:`simulate_hierarchy` — the detailed single-core variant: L1D/L2/LLC
-  with pluggable replacement, write-back traffic, banked open-page DRAM
+  with LRU or PLRU replacement, write-back traffic, banked open-page DRAM
   (:class:`DRAMModel`), virtual→physical paging and an optional TLB.
 * one multi-core event loop (private levels per core over one shared level
   and DRAM) behind two adapters: :func:`simulate_multicore` (Table III's

@@ -54,26 +54,16 @@ class SetAssocCache:
         """Lookup without LRU refresh (used by stats/tests)."""
         return self._sets[block & self._mask].get(block)
 
-    def insert(
-        self, block: int, ready_cycle: float, prefetched: bool
-    ) -> tuple[int, CacheLine] | None:
-        """Allocate a line, evicting LRU if needed.
+    def insert(self, block: int, ready_cycle: float, prefetched: bool) -> None:
+        """Allocate a line, evicting the LRU line when the set is full.
 
-        Returns ``(victim_block, victim_line)`` when an eviction happened
-        (used by the pollution tracker in :mod:`repro.sim.simulator`), else
-        ``None``.
+        Re-inserting a resident block (a demand fill over an in-flight
+        prefetch) replaces its line at the MRU position.
         """
         s = self._sets[block & self._mask]
-        victim = None
-        existing = s.pop(block, None)
-        if existing is not None:
-            # Re-insert (e.g. demand fill over an in-flight prefetch).
-            victim = None
-        elif len(s) >= self.n_ways:
-            vb = next(iter(s))
-            victim = (vb, s.pop(vb))
+        if s.pop(block, None) is None and len(s) >= self.n_ways:
+            del s[next(iter(s))]
         s[block] = CacheLine(ready_cycle, prefetched, False)
-        return victim
 
     def occupancy(self) -> int:
         return sum(len(s) for s in self._sets)

@@ -6,7 +6,7 @@ This module is the detailed sibling for whole-hierarchy studies:
 
 * three :class:`~repro.sim.policy_cache.PolicyCache` levels with Table III
   geometry (L1D 64 KB/12-way/5 cy, L2 1 MB/8-way/10 cy, LLC 8 MB/16-way/20 cy)
-  and pluggable replacement per level;
+  and a replacement policy per level (LRU by default);
 * inclusive LLC with back-invalidation, write-back/write-allocate with dirty
   eviction traffic charged to DRAM;
 * the banked open-page :class:`~repro.sim.dram.DRAMModel` with per-bank row
@@ -30,7 +30,7 @@ nothing (e.g. an L1-resident working set).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,7 +58,7 @@ class LevelConfig:
 
 @dataclass(frozen=True)
 class HierarchyConfig:
-    """Table III hierarchy; swap levels or policies per experiment."""
+    """Table III hierarchy; swap levels per experiment with ``dataclasses.replace``."""
 
     l1d: LevelConfig = LevelConfig(64 * 1024, 12, 5.0)
     l2: LevelConfig = LevelConfig(1024 * 1024, 8, 10.0)
@@ -74,20 +74,6 @@ class HierarchyConfig:
     tlb: bool = False
     tlb_entries: int = 64
     tlb_walk_latency: float = 100.0
-
-    def with_replacement(self, policy: str) -> "HierarchyConfig":
-        """Same hierarchy with every level's replacement policy swapped.
-
-        The CLI's ``--replacement`` flag routes through here, making every
-        registered policy (PLRU included) reachable from the standard
-        hierarchy/multicore scenarios, not just hand-built configs.
-        """
-        return replace(
-            self,
-            l1d=replace(self.l1d, policy=policy),
-            l2=replace(self.l2, policy=policy),
-            llc=replace(self.llc, policy=policy),
-        )
 
 
 @dataclass

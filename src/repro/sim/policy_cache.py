@@ -1,4 +1,4 @@
-"""Set-associative cache with pluggable replacement and write-back state.
+"""Set-associative cache with a named replacement policy and write-back state.
 
 This is the general sibling of :class:`repro.sim.cache.SetAssocCache` (which
 hard-codes LRU via dict ordering for the hot simulation loop). The
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.sim.replacement import DRRIPPolicy, ReplacementPolicy, make_policy
+from repro.sim.replacement import ReplacementPolicy, make_policy
 
 
 @dataclass
@@ -39,7 +39,7 @@ class EvictedLine:
 
 
 class PolicyCache:
-    """Way-indexed set-associative cache with a pluggable replacement policy.
+    """Way-indexed set-associative cache with a named replacement policy.
 
     Parameters
     ----------
@@ -103,8 +103,6 @@ class PolicyCache:
         s = self.set_index(block)
         way = self._index[s].get(block)
         if way is None:
-            if isinstance(self.policy, DRRIPPolicy):
-                self.policy.on_miss(s)
             return None
         line = self._ways[s][way]
         self.policy.on_hit(s, way)
@@ -168,9 +166,9 @@ class PolicyCache:
         """Remove ``block`` (back-invalidation for inclusive hierarchies).
 
         The replacement policy is told (``on_invalidate``) so stale per-way
-        state — a PLRU tree pointing away from the now-empty way, an RRIP
-        counter marking it near-immune — cannot steer future victims as if
-        the line were still live. The empty way is refilled first anyway
+        state — a PLRU tree pointing away from the now-empty way, an LRU
+        stamp marking it recent — cannot steer future victims as if the
+        line were still live. The empty way is refilled first anyway
         (invalid ways beat the policy's victim), so the hook's job is purely
         to keep policy metadata consistent with line validity.
         """

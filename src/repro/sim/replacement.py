@@ -1,10 +1,11 @@
-"""Cache replacement policies for the generalized set-associative cache.
+"""Cache replacement policies for the policy-driven set-associative cache.
 
-The paper's ChampSim substrate ships several replacement policies; the LLC it
-evaluates on uses LRU, but replacement interacts with prefetching (prefetched
-lines pollute the set, and the victim choice decides who pays), so the
-hierarchy simulator exposes the policy as a knob and ``bench_ablations``
-measures its effect.
+The paper's LLC uses LRU (Table III). Two policies remain, one per caller
+that needs one: the :class:`~repro.sim.hierarchy.HierarchyConfig` levels
+(single-core and multi-core) use ``lru``, and the contention world's
+:class:`~repro.sim.contention.ContentionConfig` L1s and shared L2 use
+``plru``. The sim goldens pin both, and BENCH_contention's gates run on
+``plru``.
 
 A :class:`ReplacementPolicy` owns per-*way* metadata for every set and is
 driven by four events from :class:`~repro.sim.policy_cache.PolicyCache`:
@@ -17,18 +18,12 @@ driven by four events from :class:`~repro.sim.policy_cache.PolicyCache`:
   (back-invalidation); the policy marks the way maximally evictable so
   stale metadata cannot outlive the line.
 
-Implemented policies (all O(ways) per event, allocation-free in steady state):
+Implemented policies (both O(ways) per event, allocation-free in steady state):
 
 =============  ==============================================================
 ``lru``        least-recently-used (timestamp per way)
-``fifo``       first-in-first-out (fill timestamp, not refreshed on hit)
-``random``     uniform random victim (seeded)
 ``plru``       tree-based pseudo-LRU (the common L1 policy; any way count —
                the tree is padded to the next power of two)
-``lfu``        least-frequently-used with LRU tie-break
-``srrip``      static RRIP [Jaleel et al., ISCA 2010], 2-bit RRPV
-``brrip``      bimodal RRIP (long re-reference insertion with prob. 1/32)
-``drrip``      dynamic RRIP: SRRIP/BRRIP set-dueling with a PSEL counter
 =============  ==============================================================
 
 Use :func:`make_policy` to construct one by name.
@@ -61,9 +56,9 @@ class ReplacementPolicy:
     def on_invalidate(self, set_idx: int, way: int) -> None:
         """The line in ``way`` was removed; drop any per-way preference.
 
-        Default is a no-op (stateless policies); stateful policies mark the
-        way maximally evictable so a stale stamp/counter/tree path cannot
-        steer victims as if the invalidated line were still live.
+        Default is a no-op; LRU and PLRU mark the way maximally evictable so
+        a stale stamp or tree path cannot steer victims as if the
+        invalidated line were still live.
         """
 
     def reset(self) -> None:  # pragma: no cover - overridden where stateful
@@ -97,34 +92,6 @@ class LRUPolicy(ReplacementPolicy):
     def reset(self) -> None:
         self._stamp.fill(0)
         self._clock = 0
-
-
-class FIFOPolicy(LRUPolicy):
-    """FIFO: stamp on fill only — hits do not refresh."""
-
-    def on_hit(self, set_idx: int, way: int) -> None:
-        pass
-
-
-class RandomPolicy(ReplacementPolicy):
-    """Uniform random victim selection (deterministic under ``seed``)."""
-
-    def __init__(self, n_sets: int, n_ways: int, seed: int = 0):
-        super().__init__(n_sets, n_ways)
-        self._seed = int(seed)
-        self._rng = np.random.default_rng(self._seed)
-
-    def on_fill(self, set_idx: int, way: int, prefetched: bool = False) -> None:
-        pass
-
-    def on_hit(self, set_idx: int, way: int) -> None:
-        pass
-
-    def victim(self, set_idx: int) -> int:
-        return int(self._rng.integers(self.n_ways))
-
-    def reset(self) -> None:
-        self._rng = np.random.default_rng(self._seed)
 
 
 class PLRUPolicy(ReplacementPolicy):
@@ -187,172 +154,9 @@ class PLRUPolicy(ReplacementPolicy):
         self._bits.fill(0)
 
 
-class LFUPolicy(ReplacementPolicy):
-    """Least-frequently-used, LRU tie-break; counters reset on fill."""
-
-    def __init__(self, n_sets: int, n_ways: int):
-        super().__init__(n_sets, n_ways)
-        self._count = np.zeros((n_sets, n_ways), dtype=np.int64)
-        self._stamp = np.zeros((n_sets, n_ways), dtype=np.int64)
-        self._clock = 0
-
-    def on_fill(self, set_idx: int, way: int, prefetched: bool = False) -> None:
-        self._clock += 1
-        self._count[set_idx, way] = 1
-        self._stamp[set_idx, way] = self._clock
-
-    def on_hit(self, set_idx: int, way: int) -> None:
-        self._clock += 1
-        self._count[set_idx, way] += 1
-        self._stamp[set_idx, way] = self._clock
-
-    def victim(self, set_idx: int) -> int:
-        counts = self._count[set_idx]
-        least = np.flatnonzero(counts == counts.min())
-        if len(least) == 1:
-            return int(least[0])
-        return int(least[np.argmin(self._stamp[set_idx, least])])
-
-    def on_invalidate(self, set_idx: int, way: int) -> None:
-        self._count[set_idx, way] = 0
-        self._stamp[set_idx, way] = 0
-
-    def reset(self) -> None:
-        self._count.fill(0)
-        self._stamp.fill(0)
-        self._clock = 0
-
-
-class SRRIPPolicy(ReplacementPolicy):
-    """Static Re-Reference Interval Prediction (2-bit RRPV).
-
-    Fill at RRPV = ``2^M - 2`` (long re-reference), promote to 0 on hit,
-    evict the first way at ``2^M - 1`` (aging the whole set when none is).
-    """
-
-    def __init__(self, n_sets: int, n_ways: int, m_bits: int = 2):
-        super().__init__(n_sets, n_ways)
-        self.max_rrpv = (1 << int(m_bits)) - 1
-        self._rrpv = np.full((n_sets, n_ways), self.max_rrpv, dtype=np.int8)
-
-    def _insert_rrpv(self, set_idx: int) -> int:
-        return self.max_rrpv - 1
-
-    def on_fill(self, set_idx: int, way: int, prefetched: bool = False) -> None:
-        self._rrpv[set_idx, way] = self._insert_rrpv(set_idx)
-
-    def on_hit(self, set_idx: int, way: int) -> None:
-        self._rrpv[set_idx, way] = 0
-
-    def victim(self, set_idx: int) -> int:
-        row = self._rrpv[set_idx]
-        while True:
-            hits = np.flatnonzero(row == self.max_rrpv)
-            if len(hits):
-                return int(hits[0])
-            row += 1  # age in place; bounded by max_rrpv iterations
-
-    def on_invalidate(self, set_idx: int, way: int) -> None:
-        self._rrpv[set_idx, way] = self.max_rrpv  # distant: evict first
-
-    def reset(self) -> None:
-        self._rrpv.fill(self.max_rrpv)
-
-
-class BRRIPPolicy(SRRIPPolicy):
-    """Bimodal RRIP: insert at distant RRPV, near-RRPV with prob. 1/throttle."""
-
-    def __init__(self, n_sets: int, n_ways: int, m_bits: int = 2, throttle: int = 32, seed: int = 0):
-        super().__init__(n_sets, n_ways, m_bits)
-        self.throttle = int(throttle)
-        self._tick = 0
-        self._phase = int(seed) % self.throttle
-
-    def _insert_rrpv(self, set_idx: int) -> int:
-        self._tick += 1
-        if (self._tick + self._phase) % self.throttle == 0:
-            return self.max_rrpv - 1
-        return self.max_rrpv
-
-    def reset(self) -> None:
-        super().reset()
-        self._tick = 0
-
-
-class DRRIPPolicy(ReplacementPolicy):
-    """Dynamic RRIP: SRRIP/BRRIP set-dueling.
-
-    A few *leader* sets are pinned to each constituent policy; misses in
-    leader sets move a saturating PSEL counter, and *follower* sets use
-    whichever policy is currently winning. Misses are signalled by the cache
-    through :meth:`on_miss`.
-    """
-
-    def __init__(
-        self,
-        n_sets: int,
-        n_ways: int,
-        m_bits: int = 2,
-        n_leaders: int = 32,
-        psel_bits: int = 10,
-        seed: int = 0,
-    ):
-        super().__init__(n_sets, n_ways)
-        self._srrip = SRRIPPolicy(n_sets, n_ways, m_bits)
-        self._brrip = BRRIPPolicy(n_sets, n_ways, m_bits, seed=seed)
-        # RRPV state must be shared: both constituents index the same array.
-        self._brrip._rrpv = self._srrip._rrpv
-        n_leaders = min(int(n_leaders), n_sets // 2) or 1
-        stride = max(n_sets // (2 * n_leaders), 1)
-        sets = np.arange(n_sets)
-        self._leader_s = set((sets[::stride][:n_leaders]).tolist())
-        self._leader_b = set((sets[stride // 2 :: stride][:n_leaders]).tolist())
-        self._psel_max = (1 << int(psel_bits)) - 1
-        self._psel = self._psel_max // 2
-
-    def _policy_for(self, set_idx: int) -> SRRIPPolicy:
-        if set_idx in self._leader_s:
-            return self._srrip
-        if set_idx in self._leader_b:
-            return self._brrip
-        # Follower: PSEL above midpoint means BRRIP is winning (fewer misses).
-        return self._brrip if self._psel > self._psel_max // 2 else self._srrip
-
-    def on_miss(self, set_idx: int) -> None:
-        """Called by the cache on a demand miss — drives the duel."""
-        if set_idx in self._leader_s:
-            self._psel = min(self._psel + 1, self._psel_max)
-        elif set_idx in self._leader_b:
-            self._psel = max(self._psel - 1, 0)
-
-    def on_fill(self, set_idx: int, way: int, prefetched: bool = False) -> None:
-        self._policy_for(set_idx).on_fill(set_idx, way, prefetched)
-
-    def on_hit(self, set_idx: int, way: int) -> None:
-        self._srrip.on_hit(set_idx, way)
-
-    def victim(self, set_idx: int) -> int:
-        return self._srrip.victim(set_idx)
-
-    def on_invalidate(self, set_idx: int, way: int) -> None:
-        self._srrip.on_invalidate(set_idx, way)  # RRPV array is shared
-
-    def reset(self) -> None:
-        self._srrip.reset()
-        self._brrip._rrpv = self._srrip._rrpv
-        self._brrip._tick = 0
-        self._psel = self._psel_max // 2
-
-
 _POLICIES = {
     "lru": LRUPolicy,
-    "fifo": FIFOPolicy,
-    "random": RandomPolicy,
     "plru": PLRUPolicy,
-    "lfu": LFUPolicy,
-    "srrip": SRRIPPolicy,
-    "brrip": BRRIPPolicy,
-    "drrip": DRRIPPolicy,
 }
 
 

@@ -66,17 +66,10 @@ def simulate(
     prefetcher: Prefetcher | None = None,
     config: SimConfig | None = None,
     name: str | None = None,
-    throttle=None,
     streaming: bool = False,
     stream_kwargs: dict | None = None,
 ) -> SimResult:
     """Run the trace through the LLC (+ optional prefetcher); return metrics.
-
-    ``throttle`` is an optional :class:`repro.prefetch.adaptive.
-    FeedbackThrottle`: each trigger's candidate list is truncated to the
-    controller's current degree at issue time, and the controller is fed
-    usefulness / lateness / pollution events in cache-state order (FDP).
-    Its summary lands in ``SimResult.extra["throttle"]``.
 
     ``streaming=True`` consumes predictions online instead of replaying a
     precomputed list: ``prefetcher`` may be a batch prefetcher (coerced via
@@ -134,12 +127,8 @@ def simulate(
                 continue  # no MSHR free: prefetch dropped
             ready = t_vis + dram_lat
             missq.append(ready)
-            victim = llc.insert(blk, ready, prefetched=True)
+            llc.insert(blk, ready, prefetched=True)
             issued += 1
-            if throttle is not None:
-                throttle.on_issue()
-                if victim is not None and not victim[1].prefetched:
-                    throttle.on_prefetch_eviction(victim[0])
 
     for i in range(n):
         instr_i = int(instr_ids[i])
@@ -159,8 +148,7 @@ def simulate(
         block = int(blocks[i])
         line = llc.lookup(block)
         if line is not None:
-            was_late = line.ready_cycle > now
-            if was_late:
+            if line.ready_cycle > now:
                 lat = (line.ready_cycle - now) + llc_lat
                 late_hits += 1
             else:
@@ -168,13 +156,9 @@ def simulate(
             if line.prefetched and not line.used:
                 line.used = True
                 useful += 1
-                if throttle is not None:
-                    throttle.on_useful(late=was_late)
             hits += 1
         else:
             misses += 1
-            if throttle is not None:
-                throttle.on_demand_miss(block)
             while missq and missq[0] <= now:
                 missq.popleft()
             issue_t = now
@@ -192,22 +176,14 @@ def simulate(
 
         if pf_lists is not None and pf_lists[i]:
             vis = now + pred_latency
-            cands = pf_lists[i]
-            if throttle is not None:
-                cands = cands[: throttle.current_degree()]
-            for blk in cands:
+            for blk in pf_lists[i]:
                 pfq.append((vis, blk))
         elif stream is not None:
             # Deferred emissions (micro-batched engines) surface here, at the
             # access that completed their batch — later than their trigger.
             vis = now + pred_latency
             for em in stream.ingest(int(pcs[i]), int(addrs[i])):
-                if not em.blocks:
-                    continue
-                cands = em.blocks
-                if throttle is not None:
-                    cands = cands[: throttle.current_degree()]
-                for blk in cands:
+                for blk in em.blocks:
                     pfq.append((vis, blk))
 
     result = SimResult(
@@ -222,8 +198,6 @@ def simulate(
         prefetches_useful=useful,
         prefetch_hits=useful,
     )
-    if throttle is not None:
-        result.extra["throttle"] = throttle.summary()
     if stream is not None and hasattr(stream, "adaptation_summary"):
         # Drift-aware serving: record what the adaptation loop did (versions
         # installed, drift reasons, windowed accuracy) alongside the IPC

@@ -235,14 +235,3 @@ def test_contend_poison_requires_prefetching_tenant():
         main(["contend", "462.libquantum", "--scale", "0.004",
               "--prefetcher", "none", "--poison", "0"])
 
-
-def test_replacement_flag_reaches_hierarchy(capsys):
-    rc = main(["hierarchy", "--scale", "0.004", "--prefetcher", "none",
-               "--replacement", "plru"])
-    assert rc == 0
-    assert "baseline" in capsys.readouterr().out
-
-
-def test_replacement_flag_rejects_unknown_policy():
-    with pytest.raises(SystemExit):
-        main(["hierarchy", "--scale", "0.004", "--replacement", "bogus"])

@@ -2,15 +2,15 @@
 
 Each test chains several subsystems the way a user would: trained DART
 tables through the detailed hierarchy simulator, through the packed export,
-under FDP throttling, and alongside the analysis tooling — catching interface
-drift that per-module tests cannot see.
+and alongside the analysis tooling — catching interface drift that
+per-module tests cannot see.
 """
 
 import numpy as np
 import pytest
 
-from repro.prefetch import DARTPrefetcher, FeedbackThrottle, analyze_timeliness
-from repro.sim import HierarchyConfig, LevelConfig, SimConfig, simulate, simulate_hierarchy
+from repro.prefetch import DARTPrefetcher, analyze_timeliness
+from repro.sim import HierarchyConfig, LevelConfig, simulate, simulate_hierarchy
 from repro.traces import load_any, make_workload, save_csv
 
 
@@ -50,14 +50,6 @@ def test_dart_survives_packed_export_roundtrip(
     pf_a = DARTPrefetcher(tab, preprocess_config, max_degree=2)
     pf_b = DARTPrefetcher(back, preprocess_config, max_degree=2)
     assert pf_a.prefetch_lists(sim_trace) == pf_b.prefetch_lists(sim_trace)
-
-
-def test_dart_under_fdp_throttle(dart_pf, sim_trace):
-    throttle = FeedbackThrottle()
-    r = simulate(sim_trace, dart_pf, SimConfig(), throttle=throttle)
-    info = r.extra["throttle"]
-    assert 1 <= info["final_degree"] <= 8
-    assert r.prefetches_issued <= r.demand_accesses * 8
 
 
 def test_csv_roundtrip_feeds_dart(tmp_path, dart_pf, sim_trace):

@@ -1,5 +1,7 @@
 """Multicore simulator: per-core accounting, shared-resource contention."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -144,7 +146,13 @@ def test_llc_follows_configured_policy():
     tr = MemoryTrace(np.arange(1, n + 1) * 10, np.zeros(n, dtype=np.int64), addrs)
     hits = {}
     for policy in ("lru", "plru"):
-        cfg = _cfg().with_replacement(policy)
+        base = _cfg()
+        cfg = dataclasses.replace(
+            base,
+            l1d=dataclasses.replace(base.l1d, policy=policy),
+            l2=dataclasses.replace(base.l2, policy=policy),
+            llc=dataclasses.replace(base.llc, policy=policy),
+        )
         llc, expect = cfg.llc.make(), 0
         for b in tr.block_addrs[extract_llc_stream(tr, cfg)].tolist():
             if llc.lookup(b) is None:

@@ -5,18 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.replacement import (
-    BRRIPPolicy,
-    DRRIPPolicy,
-    FIFOPolicy,
-    LFUPolicy,
-    LRUPolicy,
-    PLRUPolicy,
-    RandomPolicy,
-    SRRIPPolicy,
-    make_policy,
-    policy_names,
-)
+from repro.sim.replacement import LRUPolicy, PLRUPolicy, make_policy, policy_names
 
 
 ALL_NAMES = policy_names()
@@ -56,29 +45,6 @@ def test_lru_hit_refreshes():
     p.on_fill(0, 1)
     p.on_hit(0, 0)
     assert p.victim(0) == 1
-
-
-# -------------------------------------------------------------------- FIFO
-def test_fifo_ignores_hits():
-    p = FIFOPolicy(1, 2)
-    p.on_fill(0, 0)
-    p.on_fill(0, 1)
-    p.on_hit(0, 0)  # must not refresh
-    assert p.victim(0) == 0
-
-
-# ------------------------------------------------------------------ Random
-def test_random_is_deterministic_under_seed():
-    a = RandomPolicy(1, 8, seed=7)
-    b = RandomPolicy(1, 8, seed=7)
-    assert [a.victim(0) for _ in range(20)] == [b.victim(0) for _ in range(20)]
-
-
-def test_random_reset_restores_stream():
-    p = RandomPolicy(1, 8, seed=3)
-    first = [p.victim(0) for _ in range(10)]
-    p.reset()
-    assert [p.victim(0) for _ in range(10)] == first
 
 
 # -------------------------------------------------------------------- PLRU
@@ -124,7 +90,7 @@ def test_plru_pow2_matches_unpadded_tree():
     assert p._tree_ways == 4 and p._bits.shape == (2, 3)
 
 
-@pytest.mark.parametrize("name", [n for n in ALL_NAMES if n != "random"])
+@pytest.mark.parametrize("name", ALL_NAMES)
 def test_on_invalidate_marks_way_evictable(name):
     """After on_invalidate, the freed way must be the next victim."""
     p = make_policy(name, 2, 4)
@@ -133,115 +99,6 @@ def test_on_invalidate_marks_way_evictable(name):
         p.on_hit(0, w)
     p.on_invalidate(0, 1)
     assert p.victim(0) == 1
-
-
-# --------------------------------------------------------------------- LFU
-def test_lfu_evicts_least_frequent():
-    p = LFUPolicy(1, 3)
-    for w in range(3):
-        p.on_fill(0, w)
-    p.on_hit(0, 0)
-    p.on_hit(0, 0)
-    p.on_hit(0, 2)
-    assert p.victim(0) == 1
-
-
-def test_lfu_tie_breaks_by_lru():
-    p = LFUPolicy(1, 3)
-    for w in range(3):
-        p.on_fill(0, w)
-    p.on_hit(0, 0)  # ways 1 and 2 tie at count=1; way 1 is older
-    assert p.victim(0) == 1
-
-
-# ------------------------------------------------------------------- SRRIP
-def test_srrip_fill_then_hit_promotes():
-    p = SRRIPPolicy(1, 2)
-    p.on_fill(0, 0)
-    p.on_fill(0, 1)
-    p.on_hit(0, 0)  # way 0 RRPV -> 0
-    assert p.victim(0) == 1
-
-
-def test_srrip_ages_when_no_distant_line():
-    p = SRRIPPolicy(1, 2)
-    p.on_fill(0, 0)
-    p.on_fill(0, 1)
-    p.on_hit(0, 0)
-    p.on_hit(0, 1)  # both at RRPV 0; victim() must age until one reaches max
-    v = p.victim(0)
-    assert v in (0, 1)
-
-
-def test_srrip_scan_resistance():
-    """A burst of fills cannot displace a hot line from victim preference.
-
-    The hot way has RRPV 0 after its hit; fresh fills sit at max-1 and reach
-    max first, so the scan evicts itself — the core RRIP property.
-    """
-    p = SRRIPPolicy(1, 4)
-    for w in range(4):
-        p.on_fill(0, w)
-    p.on_hit(0, 0)  # hot line
-    for _ in range(6):
-        v = p.victim(0)
-        assert v != 0
-        p.on_fill(0, v)
-
-
-# ------------------------------------------------------------------- BRRIP
-def test_brrip_mostly_inserts_distant():
-    p = BRRIPPolicy(1, 4, throttle=32)
-    distant = 0
-    for _ in range(64):
-        p.reset()
-        p._tick = 0
-        rr = p._insert_rrpv(0)
-        if rr == p.max_rrpv:
-            distant += 1
-    assert distant >= 32  # overwhelmingly distant insertions
-
-
-def test_brrip_occasionally_inserts_near():
-    p = BRRIPPolicy(1, 4, throttle=8)
-    inserts = {p._insert_rrpv(0) for _ in range(32)}
-    assert p.max_rrpv in inserts and (p.max_rrpv - 1) in inserts
-
-
-# ------------------------------------------------------------------- DRRIP
-def test_drrip_leader_sets_disjoint():
-    p = DRRIPPolicy(64, 4, n_leaders=8)
-    assert not (p._leader_s & p._leader_b)
-    assert len(p._leader_s) == len(p._leader_b) == 8
-
-
-def test_drrip_psel_moves_on_leader_misses():
-    p = DRRIPPolicy(64, 4, n_leaders=8)
-    start = p._psel
-    s_leader = next(iter(p._leader_s))
-    for _ in range(10):
-        p.on_miss(s_leader)
-    assert p._psel == start + 10
-    b_leader = next(iter(p._leader_b))
-    for _ in range(20):
-        p.on_miss(b_leader)
-    assert p._psel == start - 10
-
-
-def test_drrip_follower_switches_policy():
-    p = DRRIPPolicy(64, 4, n_leaders=8)
-    follower = next(s for s in range(64) if s not in p._leader_s and s not in p._leader_b)
-    p._psel = 0
-    assert p._policy_for(follower) is p._srrip
-    p._psel = p._psel_max
-    assert p._policy_for(follower) is p._brrip
-
-
-def test_drrip_shares_rrpv_state():
-    p = DRRIPPolicy(16, 4)
-    assert p._brrip._rrpv is p._srrip._rrpv
-    p.reset()
-    assert p._brrip._rrpv is p._srrip._rrpv
 
 
 # -------------------------------------------------------- shared invariants
@@ -266,7 +123,7 @@ def test_property_victim_always_in_range(name, events):
 
 @settings(max_examples=15, deadline=None)
 @given(
-    name=st.sampled_from([n for n in ALL_NAMES if n != "random"]),
+    name=st.sampled_from(ALL_NAMES),
     ways=st.sampled_from([2, 4, 8]),
 )
 def test_property_reset_restores_initial_victim(name, ways):
