@@ -10,6 +10,7 @@ Every row runs once unmeasured (a warm-up that fills the model's maps),
 then ``REPS`` times in alternating passes over all rows; each row reports
 its median and interquartile range, and the <= 2x gate reads the median
 ``best_batch_over_streaming`` (single runs of the ratio swung 1.23-1.79).
+The artifact records the gate's verdict as its top-level ``pass``.
 
 Run standalone (writes the ``BENCH_streaming.json`` trajectory artifact)::
 
@@ -43,6 +44,8 @@ TABLE = TableConfig.uniform(16, 2)
 #: measured passes over every row, after one unmeasured warm-up pass; each
 #: row reports the median (and IQR) over them, and the gate reads the median
 REPS = 3
+#: the gate: median ``best_batch_over_streaming`` must not exceed this
+RATIO_BAR = 2.0
 
 
 def build_dart(trace, train_samples: int = 800, seed: int = 0) -> DARTPrefetcher:
@@ -161,9 +164,10 @@ def run(accesses: int, batch_sizes: list[int], output: str | None, seed: int = 2
     record["best_batch_over_streaming"] = best
     if best_b is not None:
         record["best_batch_over_streaming_iqr"] = streaming[best_b]["batch_over_streaming_iqr"]
-    verdict = "PASS" if best <= 2.0 else "FAIL"
+    record["pass"] = best <= RATIO_BAR
+    verdict = "PASS" if record["pass"] else "FAIL"
     print(f"[{verdict}] best DART streaming slowdown vs batch: {best:.2f}x "
-          f"(median of {REPS}, target <= 2x)")
+          f"(median of {REPS}, target <= {RATIO_BAR:g}x)")
     if output:
         with open(output, "w", encoding="utf-8") as f:
             json.dump(record, f, indent=2, sort_keys=True)
@@ -179,7 +183,7 @@ def main(argv=None) -> int:
     ap.add_argument("--output", "-o", default="BENCH_streaming.json")
     args = ap.parse_args(argv)
     record = run(args.accesses, args.batch_sizes, args.output, seed=args.seed)
-    return 0 if record["best_batch_over_streaming"] <= 2.0 else 1
+    return 0 if record["pass"] else 1
 
 
 if __name__ == "__main__":

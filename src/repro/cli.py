@@ -353,7 +353,6 @@ def _stream_churn(args) -> int:
         raise SystemExit("--churn needs a model-backed prefetcher (--prefetcher dart)")
     engine = pf.sharded(
         workers=args.workers, batch_size=args.batch_size, max_wait=args.max_wait,
-        pipeline_depth=args.pipeline_depth,
     )
     events: list[dict] = []
     length = min(len(s) for s in shards)
@@ -451,10 +450,7 @@ def _cmd_record(args) -> int:
     length = min(len(s) for s in shards)
 
     recorder = SessionRecorder()
-    engine = pf.sharded(
-        workers=args.workers, batch_size=args.batch_size,
-        pipeline_depth=args.pipeline_depth,
-    )
+    engine = pf.sharded(workers=args.workers, batch_size=args.batch_size)
     recorder.attach(engine, model=getattr(pf, "artifact", None))
     marks = {}
     if args.churn:
@@ -558,7 +554,6 @@ def _stream_sharded(args) -> int:
         )
     engine = pf.sharded(
         workers=args.workers, batch_size=args.batch_size, max_wait=args.max_wait,
-        pipeline_depth=args.pipeline_depth,
     )
     with engine:
         agg, per_stream, lists = engine.serve(shards, collect=args.compare_batch)
@@ -1070,11 +1065,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="with --workers W: run the elastic scenario "
                             "(mid-serve open/close, live migration, rescale, "
                             "hot swap) instead of a fixed-fleet serve")
-    p_str.add_argument("--pipeline-depth", type=int, default=1,
-                       help="with --workers W: data-plane credit window — up "
-                            "to D chunks in flight per worker (1 = lockstep; "
-                            "deeper overlaps worker compute with the "
-                            "frontend and with other workers)")
     p_str.add_argument("--compare-batch", action="store_true",
                        help="also run prefetch_lists and check bit-identity")
     p_str.add_argument("--adapt", action="store_true",
@@ -1100,7 +1090,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--streams", type=int, default=2,
                        help="trace shards served as concurrent streams")
     p_rec.add_argument("--batch-size", type=int, default=32)
-    p_rec.add_argument("--pipeline-depth", type=int, default=1)
     p_rec.add_argument("--no-churn", dest="churn", action="store_false",
                        help="skip the scripted elastic churn (migrate / "
                             "rescale / hot swap / late admission)")
@@ -1115,7 +1104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rpl.add_argument("trace", help="DARTTRC1 session trace (from `repro record`)")
     p_rpl.add_argument("--column", default=None,
                        help="replay engine column (default: the recorded one; "
-                            "e.g. multistream, sharded, sharded-pipelined)")
+                            "multistream or sharded)")
     p_rpl.add_argument("--tables", default=None,
                        help="boot-model .npz override (defaults to the model "
                             "embedded in the trace)")

@@ -204,63 +204,6 @@ class _LatencySketch:
         )
 
 
-class _PipelineMeter:
-    """Observability for a credit-based pipelined data plane.
-
-    The sharded frontend keeps up to ``depth`` request chunks in flight per
-    worker; this meter records how pipelined the run actually was:
-
-    * ``inflight_hist[d]`` — sends that left ``d`` chunks in flight (the
-      occupancy histogram; at depth 1 only ``inflight_hist[1]`` is nonzero);
-    * ``credit_stalls`` — sends that had to block for a reply first, because
-      the window was full (or the in-flight byte budget was);
-    * per-worker **overlap ratio** — the fraction of data-plane replies that
-      were already waiting when the frontend went to collect them, i.e. the
-      worker's compute overlapped frontend work or other workers. Handle-mode
-      lockstep (depth 1) measures ~0; the serve poller registers the
-      cross-worker overlap it gets from fanning chunks out before draining.
-    """
-
-    def __init__(self, depth: int):
-        self.depth = int(depth)
-        self.sends = 0
-        self.credit_stalls = 0
-        self.inflight_hist = [0] * (self.depth + 1)
-        self._per_worker: dict[int, list[int]] = {}  # id -> [replies, overlapped]
-
-    def note_send(self, inflight_after: int) -> None:
-        self.sends += 1
-        self.inflight_hist[min(int(inflight_after), self.depth)] += 1
-
-    def note_stall(self) -> None:
-        self.credit_stalls += 1
-
-    def note_reply(self, worker: int, overlapped: bool) -> None:
-        row = self._per_worker.setdefault(int(worker), [0, 0])
-        row[0] += 1
-        if overlapped:
-            row[1] += 1
-
-    def state(self) -> dict:
-        replies = sum(r for r, _ in self._per_worker.values())
-        overlapped = sum(o for _, o in self._per_worker.values())
-        return {
-            "depth": self.depth,
-            "sends": self.sends,
-            "credit_stalls": self.credit_stalls,
-            "inflight_hist": list(self.inflight_hist),
-            "overlap_ratio": (overlapped / replies) if replies else 0.0,
-            "per_worker": {
-                str(w): {
-                    "replies": r,
-                    "overlapped": o,
-                    "overlap_ratio": (o / r) if r else 0.0,
-                }
-                for w, (r, o) in sorted(self._per_worker.items())
-            },
-        }
-
-
 def serve(
     stream: StreamingPrefetcher,
     source: Iterable,

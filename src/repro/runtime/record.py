@@ -224,7 +224,6 @@ class SessionRecorder:
                 "threshold": ek["threshold"],
                 "max_degree": ek["max_degree"],
                 "decode": ek["decode"],
-                "pipeline_depth": engine.pipeline_depth,
                 "io_chunk": engine.io_chunk,
             }
             self._timing = {

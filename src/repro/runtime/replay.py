@@ -28,7 +28,7 @@ generous floor (:data:`REPLAY_TIMEOUT_FLOOR`), so a session recorded on a
 fast machine replays on a slow CI host without spurious timeouts. The
 ordering argument is unchanged from the live engines: replay issues the same
 barrier ops at the same schedule points, so the drain/ack proofs (DESIGN.md
-"Elastic serving", "Pipelined data plane") carry over verbatim.
+"Elastic serving") carry over verbatim.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ REPLAY_TIMEOUT_FLOOR = 60.0
 REPLAY_COLUMNS = (
     "multistream",
     "sharded",
-    "sharded-pipelined",
 )
 
 #: scoring window for the accuracy/coverage floors (score_prefetch_lists)
@@ -242,6 +241,8 @@ def _resolve_model(trace: SessionTrace, model):
 
 def _build_engine(column: str, model, config, meta: dict, reply_timeout: float,
                   engine_overrides: dict | None):
+    # Fields of retired engine options in older traces (the ring transport's
+    # "ipc", the credit window's "pipeline_depth") are ignored.
     eng = meta.get("engine", {})
     common = dict(
         batch_size=int(eng.get("batch_size") or 64),
@@ -262,9 +263,6 @@ def _build_engine(column: str, model, config, meta: dict, reply_timeout: float,
         **common,
         "workers": int(eng.get("workers") or 1),
         "io_chunk": int(eng.get("io_chunk") or 256),
-        "pipeline_depth": 4 if "pipelined" in column else int(
-            eng.get("pipeline_depth") or 1
-        ),
         "reply_timeout": reply_timeout,
         "name": "replay",
     }

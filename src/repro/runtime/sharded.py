@@ -49,24 +49,19 @@ plane (accesses and emissions) and control plane (registration, swaps,
 migration snapshots, stats, shutdown) share one duplex connection per
 worker.
 
-**Pipelined data plane** (``pipeline_depth``): the frontend may keep up to
-``pipeline_depth`` data-plane chunks in flight per worker, each tagged with
-a monotone per-worker sequence number (packed into the frame's ``meta``
-word alongside the deliver flag); the worker echoes the sequence in its
-reply. Workers process their channel strictly FIFO and reply in the same
-order, so the frontend commits replies in per-worker sequence order — a
-mismatched sequence is a named protocol failure, never a misattributed
-emission. Replies are drained by a select-style poller across every
-worker's pipe (``connection.wait``), so frontend featurization and reply
-decoding overlap worker compute, and a slow shard never stalls the drain of
-a faster one. Per-stream emission order is untouched (streams stay pinned
-to one worker and each pipe is FIFO); cross-worker arrival order was
-never promised. Every barrier — ``flush_all``, ``swap_model`` drain-acks,
-``migrate_stream`` freeze, ``rescale``, ``close`` — first **quiesces** the
-outstanding window (every credit returns), so the existing drain/ack
-ordering proofs apply unchanged; any control-plane send quiesces its shard
-implicitly. ``pipeline_depth=1`` *is* the historical lockstep protocol,
-bit-for-bit. See DESIGN.md "Pipelined data plane".
+**One outstanding request per worker.** The data plane is request/reply:
+the frontend sends a worker one ``OP_ACCESS`` or ``OP_FLUSH`` chunk and
+commits its reply before that worker gets another. Each request carries a
+per-worker sequence number (packed into the frame's ``meta`` word alongside
+the deliver flag) that the worker echoes, so a stray reply is a named
+protocol failure, never a misattributed emission. :meth:`ShardedEngine.serve`
+still overlaps the workers: every worker receives its chunk before any reply
+is read, and the frontend parks in a select across every worker's pipe
+(``connection.wait``), so a slow shard never stalls the drain of a faster
+one. Every control-plane send first commits the shard's outstanding reply,
+so the drain/ack ordering proofs of the barriers (flush, swap, freeze,
+rescale, close) see a quiet channel. See DESIGN.md "One outstanding request
+per worker" for why there is no deeper window.
 
 Guarantees preserved from the single-process engines:
 
@@ -96,7 +91,6 @@ import json
 import struct
 import time
 import weakref
-from collections import deque
 
 import numpy as np
 
@@ -105,7 +99,6 @@ from repro.runtime.engine import (
     StreamLifecycle,
     StreamStats,
     _LatencySketch,
-    _PipelineMeter,
     access_pairs,
 )
 from repro.runtime.microbatch import (
@@ -181,11 +174,11 @@ def _worker_serve_loop(worker_id: int, conn, model_spec, engine_kwargs: dict,
     ``OP_SHUTDOWN``, a closed pipe, or after reporting an error.
 
     Requests are processed strictly FIFO and every reply goes back on the
-    same pipe, so replies leave in request-sequence order — the invariant
-    the pipelined frontend commits against. ``chaos_reply_delay = (max_s,
-    seed)`` is the fault-injection hook used by the pipeline fuzz: each
-    data-plane reply is preceded by a seeded random sleep in ``[0, max_s)``,
-    simulating slow/jittery shards without touching the protocol.
+    same pipe, echoing the data-plane request's sequence number.
+    ``chaos_reply_delay = (max_s, seed)`` is the fault-injection hook used by
+    the chaos fuzz: each data-plane reply is preceded by a seeded random
+    sleep in ``[0, max_s)``, simulating slow/jittery shards without touching
+    the protocol.
     """
     import traceback
 
@@ -257,8 +250,8 @@ def _worker_serve_loop(worker_id: int, conn, model_spec, engine_kwargs: dict,
             try:
                 if op == OP_ACCESS:
                     # Data-plane meta packs (request seq << 1) | deliver; the
-                    # seq is echoed in the reply so the pipelined frontend
-                    # commits replies in per-worker sequence order.
+                    # seq is echoed in the reply so the frontend can check it
+                    # against the request it has outstanding.
                     rows = np.frombuffer(payload, dtype=np.int64).reshape(-1, 3).tolist()
                     if measure:
                         for lidx, pc, addr in rows:
@@ -424,12 +417,15 @@ class _Shard:
         # publication refcounting keys off these per-shard specs.
         self.spec = None
         self.version: int | None = None
-        # Pipelined data plane: the next request sequence number (monotone for
-        # the worker's lifetime) and the outstanding window — (seq, bytes) per
-        # un-acked data-plane request, committed strictly in seq order.
+        # Data plane: the next request sequence number (monotone for the
+        # worker's lifetime) and the seq of the one request awaiting its
+        # reply, or None.
         self.data_seq = 0
-        self.inflight: deque[tuple[int, int]] = deque()
-        self.inflight_bytes = 0
+        self.outstanding: int | None = None
+        # Overlap accounting: data-plane replies committed, and how many of
+        # them were already waiting when the frontend went to read them.
+        self.replies = 0
+        self.overlapped = 0
 
 
 class ShardHandle(StreamingPrefetcher):
@@ -516,20 +512,11 @@ class ShardedEngine:
 
     Each worker has one duplex pipe to the frontend, carrying both the data
     plane (access rows, emission replies) and the control plane (admission,
-    swap, migration snapshots, stats, shutdown).
-
-    ``pipeline_depth`` is the credit window of the data plane: how many
-    ``OP_ACCESS``/``OP_FLUSH`` chunks the frontend may keep in flight per
-    worker before it must commit a reply. Depth 1 (the default) is the
-    historical one-outstanding lockstep, bit-for-bit; deeper windows overlap
-    worker compute with frontend featurization/decoding and with the other
-    workers, and a select-style poller commits replies in per-worker
-    sequence order as they become ready. Emissions stay exactly-once and
-    per-stream ordered at any depth, and every barrier (flush, swap, close,
-    freeze, rescale) quiesces the window first — see DESIGN.md "Pipelined
-    data plane". ``pipe_window_bytes`` caps the in-flight request *bytes*
-    per worker (it must stay under the kernel's socketpair buffer so the
-    frontend's sends can never block against a worker blocked mid-reply).
+    swap, migration snapshots, stats, shutdown). A worker has at most one
+    data-plane request outstanding: handle mode sends a chunk and reads its
+    reply, and :meth:`serve` sends every worker its chunk before it reads
+    any reply, parking in a select across the pipes. Every control-plane
+    send first commits the outstanding reply.
 
     ``reply_timeout`` / ``poll_interval`` govern :meth:`_recv`'s wait for a
     worker reply (total deadline, and the death-probe granularity while
@@ -539,7 +526,7 @@ class ShardedEngine:
 
     ``chaos_reply_delay=(max_s, seed)`` injects a seeded random sleep before
     every data-plane reply in each worker — the fault-injection hook the
-    pipeline fuzz uses to prove the exactly-once/ordering invariants under
+    chaos fuzz uses to prove the exactly-once/ordering invariants under
     slow, jittery shards. Leave ``None`` in production.
 
     Use as a context manager (or call :meth:`close`) — the engine owns named
@@ -566,8 +553,6 @@ class ShardedEngine:
         reply_timeout: float = 60.0,
         poll_interval: float = 0.05,
         drain_poll_interval: float = 0.005,
-        pipeline_depth: int = 1,
-        pipe_window_bytes: int = 57344,
         chaos_reply_delay: tuple | None = None,
     ):
         if workers < 1:
@@ -576,10 +561,6 @@ class ShardedEngine:
             raise ValueError("io_chunk / serve_chunk must be >= 1")
         if reply_timeout <= 0 or poll_interval <= 0 or drain_poll_interval <= 0:
             raise ValueError("reply_timeout / poll intervals must be > 0")
-        if pipeline_depth < 1:
-            raise ValueError("pipeline_depth must be >= 1")
-        if pipe_window_bytes < 4096:
-            raise ValueError("pipe_window_bytes must be >= 4096")
         # Validate geometry + capture the artifact version before any process
         # or segment exists (same refusal point as the in-process engines).
         _, version = resolve_predictor(model, config)
@@ -604,10 +585,7 @@ class ShardedEngine:
         self.reply_timeout = float(reply_timeout)
         self.poll_interval = float(poll_interval)
         self.drain_poll_interval = float(drain_poll_interval)
-        self.pipeline_depth = int(pipeline_depth)
-        self.pipe_window_bytes = int(pipe_window_bytes)
         self._chaos_reply_delay = chaos_reply_delay
-        self._meter = _PipelineMeter(self.pipeline_depth)
         import multiprocessing as mp
 
         if start_method is None:
@@ -824,9 +802,17 @@ class ShardedEngine:
             opcode=opcode,
         )
 
-    def _send_raw(self, shard: _Shard, op: int, meta: int,
-                  payload: bytes = b"") -> None:
-        """Frame one message onto the worker pipe (no window interaction)."""
+    def _send(self, shard: _Shard, op: int, meta: int, payload: bytes = b"") -> None:
+        """Frame one message onto the worker pipe, after committing the
+        shard's outstanding data-plane reply (if any).
+
+        Every request goes through here — data chunks and every barrier op
+        (register, swap, close, freeze, thaw, reset, stats) — so by the time
+        the worker sees a barrier the request/reply channel is quiet and the
+        drain/ack ordering proofs apply. The committed reply is routed to its
+        handles' outboxes — committing never drops an emission.
+        """
+        self._quiesce(shard)
         if not self._started:
             self.start()
         if not shard.alive:
@@ -835,19 +821,6 @@ class ShardedEngine:
             shard.conn.send_bytes(_HDR.pack(op, meta) + payload)
         except (BrokenPipeError, OSError) as exc:
             self._fail(shard, f"pipe send failed: {exc!r}")
-
-    def _send(self, shard: _Shard, op: int, meta: int, payload: bytes = b"") -> None:
-        """Control-plane send: quiesces the shard's outstanding window first.
-
-        Every barrier op (register, swap, close, freeze, thaw, reset, stats,
-        shutdown) goes through here, so by the time the worker sees it the
-        request/reply channel is back in lockstep and the pre-pipelining
-        drain/ack ordering proofs apply unchanged. The drained replies are
-        routed to their handles' outboxes — quiescing never drops an
-        emission, it only commits it.
-        """
-        self._quiesce(shard)
-        self._send_raw(shard, op, meta, payload)
 
     def _recv(self, shard: _Shard, timeout: float | None = None,
               poll_interval: float | None = None):
@@ -897,16 +870,11 @@ class ShardedEngine:
             self._fail(shard, f"protocol error: got opcode {op}, wanted {want_op}")
         return meta, payload
 
-    # ----------------------------------------------------- pipelined data plane
-    # The frontend keeps up to ``pipeline_depth`` data-plane requests in
-    # flight per worker. Each carries a monotone per-worker sequence number
-    # (meta = seq << 1 | deliver) that the worker echoes in its reply; the
-    # worker serves its channel strictly FIFO, so replies arrive — and are
-    # committed — in sequence order. Credits return as replies commit;
-    # control-plane ops quiesce the window first (see :meth:`_send`).
-
-    #: per-frame accounting margin: connection length prefix + frame header
-    _FRAME_MARGIN = 64
+    # ------------------------------------------------------------ data plane
+    # A worker has at most one data-plane request outstanding. Each carries a
+    # monotone per-worker sequence number (meta = seq << 1 | deliver) that
+    # the worker echoes in its reply; a reply with any other seq, or one
+    # nobody asked for, is a named protocol failure.
 
     def _data_ready(self, shard: _Shard) -> bool:
         """True when a data-plane reply is already waiting (never blocks)."""
@@ -915,103 +883,61 @@ class ShardedEngine:
         except (EOFError, OSError) as exc:
             self._fail(shard, f"pipe closed: {exc!r}")
 
-    def _commit_reply(self, shard: _Shard, op: int, meta: int,
-                      payload: bytes, ready: bool) -> None:
-        """Validate one data-plane reply against the window head; route it."""
-        if op != REPLY_EMISSIONS:
-            self._fail(
-                shard, f"protocol error: got opcode {op}, wanted {REPLY_EMISSIONS}"
-            )
-        if not shard.inflight:
-            self._fail(
-                shard, f"pipeline protocol error: unsolicited reply seq {meta}"
-            )
-        want, nbytes = shard.inflight.popleft()
-        shard.inflight_bytes -= nbytes
-        if int(meta) != want:
-            self._fail(
-                shard,
-                f"pipeline protocol error: reply seq {int(meta)}, expected {want}",
-            )
-        self._meter.note_reply(shard.id, ready)
-        self._route(shard, payload)
+    def _send_data(self, shard: _Shard, op: int, deliver: bool,
+                   payload: bytes = b"") -> None:
+        """Ship one data-plane request; its reply is committed later."""
+        seq = shard.data_seq
+        self._send(shard, op, (seq << 1) | (1 if deliver else 0), payload)
+        shard.data_seq = seq + 1
+        shard.outstanding = seq
 
     def _drain_one(self, shard: _Shard, ready: bool | None = None) -> None:
-        """Commit exactly one outstanding reply (blocks until it arrives)."""
+        """Commit the outstanding reply (blocks until it arrives)."""
         if ready is None:
             ready = self._data_ready(shard)
         op, meta, payload = self._recv(
             shard, poll_interval=self.drain_poll_interval
         )
-        self._commit_reply(shard, op, meta, payload, ready)
+        if op != REPLY_EMISSIONS:
+            self._fail(
+                shard, f"protocol error: got opcode {op}, wanted {REPLY_EMISSIONS}"
+            )
+        if shard.outstanding is None:
+            self._fail(shard, f"protocol error: unsolicited reply seq {meta}")
+        if int(meta) != shard.outstanding:
+            self._fail(
+                shard,
+                f"protocol error: reply seq {int(meta)}, "
+                f"expected {shard.outstanding}",
+            )
+        shard.outstanding = None
+        shard.replies += 1
+        shard.overlapped += bool(ready)
+        self._route(shard, payload)
 
-    def _drain_ready(self, shard: _Shard) -> int:
-        """Commit every reply already waiting; returns how many (no blocking)."""
-        n = 0
-        while shard.inflight and self._data_ready(shard):
+    def _drain_ready(self, shard: _Shard) -> bool:
+        """Commit the outstanding reply if it has already landed (no blocking)."""
+        if shard.outstanding is not None and self._data_ready(shard):
             self._drain_one(shard, ready=True)
-            n += 1
-        return n
+            return True
+        return False
 
     def _quiesce(self, shard: _Shard) -> None:
-        """Commit the whole outstanding window (credits return to depth)."""
-        while shard.inflight:
+        """Commit the outstanding reply, if there is one."""
+        if shard.outstanding is not None:
             self._drain_one(shard)
 
-    def _can_send_data(self, shard: _Shard, payload_len: int) -> bool:
-        """Whether a data send of ``payload_len`` would go out without
-        waiting for a reply first (a free credit and byte-window headroom).
-
-        An empty window always accepts — an oversized frame then degenerates
-        to lockstep for that frame, which is always safe (the worker has no
-        reply pending, so it is actively consuming).
-        """
-        if not shard.inflight:
-            return True
-        if len(shard.inflight) >= self.pipeline_depth:
-            return False
-        cost = payload_len + self._FRAME_MARGIN
-        return shard.inflight_bytes + cost <= self.pipe_window_bytes
-
-    def _send_data(self, shard: _Shard, op: int, deliver: bool,
-                   payload: bytes = b"") -> None:
-        """Ship one data-plane request under the credit window.
-
-        Blocks (committing replies, oldest first) until a credit and byte
-        headroom are available. The byte window keeps every outstanding
-        request inside the kernel's socket buffer, so this send can never
-        block against a worker that is itself blocked writing a reply.
-        """
-        if not self._started:
-            self.start()
-        if not shard.alive:
-            self._fail(shard, "worker already failed")
-        cost = len(payload) + self._FRAME_MARGIN
-        while not self._can_send_data(shard, len(payload)):
-            self._meter.note_stall()
-            self._drain_one(shard)
-        seq = shard.data_seq
-        body = _HDR.pack(op, (seq << 1) | (1 if deliver else 0)) + payload
-        try:
-            shard.conn.send_bytes(body)
-        except (BrokenPipeError, OSError) as exc:
-            self._fail(shard, f"pipe send failed: {exc!r}")
-        shard.data_seq = seq + 1
-        shard.inflight.append((seq, cost))
-        shard.inflight_bytes += cost
-        self._meter.note_send(len(shard.inflight))
-
-    def _wait_data_reply(self, shards: list[_Shard],
-                         timeout: float | None = None) -> None:
+    def _wait_data_reply(self, shards: list[_Shard]) -> None:
         """Select-style park until *some* listed shard has a reply ready.
 
         Waits on all the worker connections at once
-        (``multiprocessing.connection.wait``); a dead worker is probed every
-        lap and surfaces as a named :class:`ShardFailure`, never a hang.
+        (``multiprocessing.connection.wait``, looked up per call so a wrapped
+        ``wait`` is honoured); a dead worker is probed every lap and surfaces
+        as a named :class:`ShardFailure`, never a hang.
         """
         from multiprocessing.connection import wait as conn_wait
 
-        deadline = time.monotonic() + (timeout or self.reply_timeout)
+        deadline = time.monotonic() + self.reply_timeout
         while True:
             try:
                 if conn_wait([s.conn for s in shards], self.drain_poll_interval):
@@ -1027,9 +953,7 @@ class ShardedEngine:
                         )
                     return
             if time.monotonic() > deadline:
-                self._fail(
-                    shards[0], f"no reply within {timeout or self.reply_timeout}s"
-                )
+                self._fail(shards[0], f"no reply within {self.reply_timeout}s")
 
     # ----------------------------------------------------------------- serving
     def _route(self, shard: _Shard, payload: bytes) -> int:
@@ -1050,24 +974,15 @@ class ShardedEngine:
             n += 1
         return n
 
-    def _dispatch(self, shard: _Shard, deliver: bool = True) -> None:
-        """Ship a shard's buffered accesses under the credit window.
-
-        At depth 1 this is exactly the historical lockstep: send one chunk,
-        block on its reply, route it. At deeper windows the chunk joins the
-        in-flight window and this returns after committing down to a free
-        credit plus any replies that had already landed — emissions then
-        surface through the owning handles' outboxes a little later, exactly
-        like a micro-batched answer.
-        """
+    def _dispatch(self, shard: _Shard) -> None:
+        """Ship a shard's buffered accesses, then commit the reply: the
+        emissions land in the owning handles' outboxes before this returns."""
         if not shard.sendbuf:
             return
         arr = np.asarray(shard.sendbuf, dtype=np.int64)
         shard.sendbuf.clear()
-        self._send_data(shard, OP_ACCESS, deliver, arr.tobytes())
-        while len(shard.inflight) >= self.pipeline_depth:
-            self._drain_one(shard)
-        self._drain_ready(shard)
+        self._send_data(shard, OP_ACCESS, True, arr.tobytes())
+        self._drain_one(shard)
 
     def _ingest(self, handle: ShardHandle, pc: int, addr: int) -> None:
         shard = self._shards[handle.shard_id]
@@ -1078,11 +993,10 @@ class ShardedEngine:
     def flush_all(self) -> None:
         """Answer everything pending in every shard (one flush per worker).
 
-        A window barrier: every shard's buffered accesses and one
-        ``OP_FLUSH`` are shipped first (so all workers flush concurrently),
-        then every outstanding window is quiesced — when this returns, each
-        stream's answers sit in its handle's outbox and every credit has
-        returned.
+        A barrier: every shard's buffered accesses and one ``OP_FLUSH`` are
+        shipped first (so all workers flush concurrently), then every flush
+        reply is committed — when this returns, each stream's answers sit in
+        its handle's outbox.
         """
         if self._recorder is not None:
             self._recorder.on_flush()
@@ -1458,6 +1372,8 @@ class ShardedEngine:
         calls = sum(w["engine"]["predict_calls"] for w in per_worker)
         answered = sum(w["engine"]["queries_answered"] for w in per_worker)
         fast = sum(w["engine"].get("fast_path_flushes", 0) for w in per_worker)
+        replies = sum(s.replies for s in self._shards)
+        overlapped = sum(s.overlapped for s in self._shards)
         return {
             "workers": self.workers,
             "streams": self.n_streams,
@@ -1473,7 +1389,15 @@ class ShardedEngine:
             "queries_answered": answered,
             "mean_batch_fill": (answered / calls) if calls else 0.0,
             "start_method": self.start_method,
-            "pipeline": self._meter.state(),
+            "pipeline": {
+                # Share of data-plane replies already waiting when the
+                # frontend went to read them: how much worker compute
+                # overlapped the frontend and the other workers.
+                "overlap_ratio": (overlapped / replies) if replies else 0.0,
+                # No credit window exists, so no send ever waits for a free
+                # credit. Kept at 0 because perfbench's traced pass reads it.
+                "credit_stalls": 0,
+            },
             "elastic": {
                 "opened": self._opened,
                 "closed": self._closed_streams,
@@ -1607,25 +1531,16 @@ class ShardedEngine:
                         lists[pos[handle.index]][em.seq] = list(em.blocks)
 
         cursors = [0] * len(self._shards)
-        depth = self.pipeline_depth
-        # Deeper windows ship proportionally smaller frames: the bytes in
-        # flight per worker stay ~one lockstep chunk's worth (inside the
-        # transport's byte window), but the window holds `depth` of them, so
-        # a worker always has queued work while the frontend drains replies.
-        chunk = self.serve_chunk if depth == 1 else max(
-            32, self.serve_chunk // depth
-        )
+        chunk = self.serve_chunk
         t0 = time.perf_counter()
         while True:
-            # Keep every worker's credit window full…
+            # Every idle worker gets its next chunk…
             sent = 0
             for shard in self._shards:
                 data = merged[shard.id]
-                while cursors[shard.id] < len(data):
-                    lo = cursors[shard.id]
+                lo = cursors[shard.id]
+                if shard.outstanding is None and lo < len(data):
                     hi = min(lo + chunk, len(data))
-                    if not self._can_send_data(shard, (hi - lo) * 24):
-                        break
                     cursors[shard.id] = hi
                     self._send_data(
                         shard, OP_ACCESS, deliver, data[lo:hi].tobytes()
@@ -1633,23 +1548,21 @@ class ShardedEngine:
                     sent += 1
             # …then commit whatever replies have landed, from any worker —
             # a slow shard never gates the drain of a faster one.
-            drained = 0
-            for shard in self._shards:
-                drained += self._drain_ready(shard)
+            drained = sum(self._drain_ready(shard) for shard in self._shards)
             if drained:
                 consume_outboxes()
-            pending = [s for s in self._shards if s.inflight]
+            pending = [s for s in self._shards if s.outstanding is not None]
             if not pending and all(
                 cursors[s.id] >= len(merged[s.id]) for s in self._shards
             ):
                 break
             if not sent and not drained and pending:
-                # Every window is full (or the trace is exhausted): park in
-                # the select across all emission channels until one is ready.
+                # Every worker is busy: park in the select across all
+                # emission channels until one reply is ready.
                 self._wait_data_reply(pending)
         if recording:
             self._recorder.on_flush()
-        for shard in self._shards:  # drain barrier: flush all, then quiesce
+        for shard in self._shards:  # drain barrier: flush all, then commit
             self._send_data(shard, OP_FLUSH, deliver)
         for shard in self._shards:
             self._quiesce(shard)
@@ -1693,9 +1606,9 @@ class ShardedEngine:
         if self._closed:
             return
         self._closed = True
-        # Quiesce any outstanding pipelined window first so the shutdown ack
-        # below is the next frame on each pipe, not a stale data reply. A
-        # shard that already died can't be drained — skip it, the reap below
+        # Commit any outstanding data reply first so the shutdown ack below
+        # is the next frame on each pipe, not a stale data reply. A shard
+        # that already died can't be drained — skip it, the reap below
         # handles the corpse.
         for shard in self._shards:
             try:

@@ -106,22 +106,29 @@ def test_sharded_churn_replays_bit_identically(dart, churn_traces):
     assert "bit-identity" in report.contracts
 
 
-def test_ring_era_trace_replays_on_the_pipe(dart, churn_traces):
-    """Traces recorded on the retired shared-memory ring transport carry
-    ``"ipc": "ring"`` in their engine block; they still load and replay on
-    their recorded ``sharded`` column under the full contract set. The ring
-    columns themselves are gone."""
+#: engine-block fields of retired engine options -> the column each had
+RETIRED_COLUMNS = {"ipc": "sharded-ring", "pipeline_depth": "sharded-pipelined"}
+
+
+@pytest.mark.parametrize("field, value", [("ipc", "ring"), ("pipeline_depth", 4)])
+def test_ring_era_trace_replays_on_the_pipe(dart, churn_traces, field, value):
+    """Traces recorded by retired engine options carry them in their engine
+    block: ``"ipc": "ring"`` (the shared-memory ring transport) or
+    ``"pipeline_depth"`` (the data-plane credit window). They still load and
+    replay on their recorded ``sharded`` column under the full contract set,
+    which ignores the field. The retired columns themselves are gone."""
     trace = record_sharded_churn(dart, churn_traces)
-    trace.meta["engine"]["ipc"] = "ring"
+    assert field not in trace.meta["engine"]
+    trace.meta["engine"][field] = value
     old = SessionTrace.from_bytes(trace.to_bytes())
-    assert old.meta["engine"]["ipc"] == "ring"
+    assert old.meta["engine"][field] == value
 
     report = replay(old)
     assert report.column == "sharded"
     assert report.emissions == trace.summary()["emissions"]
     assert {"exactly-once-ascending", "bit-identity"} <= set(report.contracts)
     with pytest.raises(ValueError, match="unknown replay column"):
-        replay(old, column="sharded-ring")
+        replay(old, column=RETIRED_COLUMNS[field])
 
 
 def test_sharded_trace_replays_cross_column(dart, churn_traces):

@@ -38,7 +38,6 @@ ENGINES = [
     "microbatcher",
     "multistream",
     "sharded",
-    "sharded-pipelined",
     "elastic-rescale",
     "elastic-migrate",
     # Record a live session, replay the trace on a fresh engine under the
@@ -157,13 +156,9 @@ def test_engine_matches_batch_oracle(
         got = [drive_pair(handles, conformance_traces)]
         for s, trace in enumerate(conformance_traces):
             assert got[0][s] == oracles[kind][s], f"stream {s} diverged"
-    elif engine.startswith("sharded"):
-        depth = 4 if "pipelined" in engine else 1
-        with pf.sharded(
-            workers=2, batch_size=batch_size, pipeline_depth=depth
-        ) as eng:
+    elif engine == "sharded":
+        with pf.sharded(workers=2, batch_size=batch_size) as eng:
             _, per_stream, lists = eng.serve(conformance_traces, collect=True)
-            assert eng.stats()["pipeline"]["depth"] == depth
         for s in range(2):
             assert lists[s] == oracles[kind][s], f"stream {s} diverged"
             assert per_stream[s].accesses == len(conformance_traces[s])
