@@ -1,17 +1,11 @@
-"""Pipelined sharded data plane: credit window, chaos fuzz, barrier quiesce.
+"""Sharded data plane under chaos: exactly-once, ascending, bit-identical.
 
-The pipelined frontend keeps up to ``pipeline_depth`` chunks in flight per
-worker and commits replies in per-worker sequence order. These tests pin the
-load-bearing claims from DESIGN.md "Pipelined data plane":
-
-* emissions stay **exactly-once and per-stream ascending** at every depth,
-  even when workers reply late and jittery (seeded ``chaos_reply_delay``);
-* depth 1 **degenerates to lockstep** — same emissions, same worker predict
-  schedule, and the meter records a pure one-outstanding occupancy profile;
-* every barrier (swap, migrate, rescale, close) **quiesces the window**
-  mid-flight without dropping or duplicating an emission;
-* the ``stats()["pipeline"]`` meter balances: every send is histogrammed and
-  every in-flight request was committed by the time serving returns.
+The frontend keeps at most one data-plane request outstanding per worker and
+commits each reply against its echoed sequence number. These tests delay
+every worker reply by a seeded random sleep (``chaos_reply_delay``) and check
+that emissions stay exactly-once, per-stream ascending and equal to the batch
+oracle: in handle mode under several chaos seeds, in the ``serve`` poller,
+and across swap / migrate / rescale barriers.
 """
 
 from __future__ import annotations
@@ -46,116 +40,67 @@ def _assert_exactly_once_ascending(seen, traces, oracle):
 
 
 @pytest.fixture(scope="module")
-def pipeline_traces(libquantum_traces):
+def chaos_traces(libquantum_traces):
     return libquantum_traces(4, 220, 70)
 
 
 @pytest.fixture(scope="module")
-def pipeline_oracle(dart, pipeline_traces):
-    return [dart.prefetch_lists(t) for t in pipeline_traces]
+def chaos_oracle(dart, chaos_traces):
+    return [dart.prefetch_lists(t) for t in chaos_traces]
 
 
-@pytest.mark.parametrize("depth", [1, 2, 8])
-def test_chaos_fuzz_exactly_once_ascending(
-    dart, pipeline_traces, pipeline_oracle, depth
-):
-    """Seeded reply-delay fuzz: slow, jittery workers never reorder,
-    drop, or duplicate an emission at any window depth."""
-    seen = [[] for _ in pipeline_traces]
+@pytest.mark.parametrize("seed", [1, 2, 8])
+def test_chaos_fuzz_exactly_once_ascending(dart, chaos_traces, chaos_oracle, seed):
+    """Seeded reply-delay fuzz: slow, jittery workers never reorder, drop,
+    or duplicate an emission in handle mode, under three delay schedules."""
+    seen = [[] for _ in chaos_traces]
     with dart.sharded(
-        workers=2, io_chunk=8, pipeline_depth=depth,
-        chaos_reply_delay=(0.001, 1234 + depth),
+        workers=2, io_chunk=8, chaos_reply_delay=(0.001, 1234 + seed),
     ) as eng:
-        handles = [eng.open_stream(f"t{i}") for i in range(len(pipeline_traces))]
-        _drive_handles(eng, handles, pipeline_traces, seen)
-    _assert_exactly_once_ascending(seen, pipeline_traces, pipeline_oracle)
+        handles = [eng.open_stream(f"t{i}") for i in range(len(chaos_traces))]
+        _drive_handles(eng, handles, chaos_traces, seen)
+    _assert_exactly_once_ascending(seen, chaos_traces, chaos_oracle)
 
 
-def test_chaos_serve_poller_bit_identical(dart, pipeline_traces, pipeline_oracle):
-    """The select-style serve poller under chaos: deep window, small chunks,
-    random worker delays — still bit-identical to the batch oracle."""
+def test_chaos_serve_poller_bit_identical(dart, chaos_traces, chaos_oracle):
+    """The select-style serve poller under chaos: small chunks and random
+    worker delays — still bit-identical to the batch oracle."""
     with dart.sharded(
-        workers=2, serve_chunk=64, pipeline_depth=8,
-        chaos_reply_delay=(0.002, 99),
+        workers=2, serve_chunk=64, chaos_reply_delay=(0.002, 99),
     ) as eng:
-        _, per_stream, lists = eng.serve(pipeline_traces, collect=True)
-        meter = eng.stats()["pipeline"]
-    for s in range(len(pipeline_traces)):
-        assert lists[s] == pipeline_oracle[s], f"stream {s} diverged"
-        assert per_stream[s].accesses == len(pipeline_traces[s])
-    assert meter["sends"] == sum(meter["inflight_hist"])
+        _, per_stream, lists = eng.serve(chaos_traces, collect=True)
+        assert all(s.outstanding is None for s in eng._shards)
+    for s in range(len(chaos_traces)):
+        assert lists[s] == chaos_oracle[s], f"stream {s} diverged"
+        assert per_stream[s].accesses == len(chaos_traces[s])
 
 
-def test_depth1_degenerates_to_lockstep(dart, libquantum_traces):
-    """Depth 1 is the historical lockstep bit-for-bit: identical emissions,
-    identical worker predict schedule, and a pure one-outstanding meter
-    (no stalls, every send left exactly one request in flight)."""
-    traces = libquantum_traces(2, 260, 90)
-    outs, stats = {}, {}
-    for depth in (1, 8):
-        with dart.sharded(workers=2, pipeline_depth=depth) as eng:
-            _, _, lists = eng.serve(traces, collect=True)
-            stats[depth] = eng.stats()
-            outs[depth] = lists
-    assert outs[1] == outs[8]
-    # Framing differs (deeper windows ship smaller chunks) but the per-worker
-    # ingest order doesn't, so the micro-batch schedule is unchanged.
-    assert stats[1]["predict_calls"] == stats[8]["predict_calls"]
-    meter = stats[1]["pipeline"]
-    assert meter["depth"] == 1
-    assert meter["credit_stalls"] == 0
-    assert meter["inflight_hist"] == [0, meter["sends"]]
-    # The deep window must actually go multi-outstanding (occupancy is a
-    # protocol fact, not a timing one — sends outpace commits by design).
-    assert sum(stats[8]["pipeline"]["inflight_hist"][2:]) > 0
+def test_barriers_commit_outstanding_reply(dart, chaos_traces, chaos_oracle):
+    """Swap / migrate / rescale land while chaos keeps replies lagging; each
+    barrier commits the outstanding reply first, so the drained emissions
+    all commit and the run stays bit-identical."""
+    from repro.runtime.sharded import OP_FLUSH
 
-
-def test_barriers_quiesce_mid_flight_window(dart, pipeline_traces, pipeline_oracle):
-    """Swap / migrate / rescale land while up to 8 chunks are in flight (and
-    chaos keeps replies lagging); each barrier quiesces the window first, so
-    the drained emissions all commit and the run stays bit-identical."""
-    seen = [[] for _ in pipeline_traces]
+    seen = [[] for _ in chaos_traces]
     with dart.sharded(
-        workers=2, io_chunk=4, pipeline_depth=8,
-        chaos_reply_delay=(0.001, 7),
+        workers=2, io_chunk=4, chaos_reply_delay=(0.001, 7),
     ) as eng:
-        handles = [eng.open_stream(f"t{i}") for i in range(len(pipeline_traces))]
-        n = len(pipeline_traces[0])
+        handles = [eng.open_stream(f"t{i}") for i in range(len(chaos_traces))]
+        n = len(chaos_traces[0])
+
+        def migrate_with_reply_outstanding():
+            # The freeze must commit the source's outstanding flush reply
+            # before it reads its own.
+            eng._send_data(eng._shards[handles[0].shard_id], OP_FLUSH, True)
+            eng.migrate_stream(handles[0], (handles[0].shard_id + 1) % eng.workers)
+
         churn = {
             n // 4: lambda: eng.rescale(3),
             n // 3: lambda: eng.swap_model(dart.predictor),  # no-op generation
-            n // 2: lambda: eng.migrate_stream(
-                handles[0], (handles[0].shard_id + 1) % eng.workers
-            ),
+            n // 2: migrate_with_reply_outstanding,
             3 * n // 4: lambda: eng.rescale(2),
         }
-        _drive_handles(eng, handles, pipeline_traces, seen, churn=churn)
+        _drive_handles(eng, handles, chaos_traces, seen, churn=churn)
         elastic = eng.stats()["elastic"]
     assert elastic["migrations"] == 1 and elastic["rescales"] == 2
-    _assert_exactly_once_ascending(seen, pipeline_traces, pipeline_oracle)
-
-
-def test_pipeline_meter_accounting(dart, pipeline_traces):
-    """The meter balances and the window is empty once serving returns."""
-    with dart.sharded(workers=2, serve_chunk=32, pipeline_depth=4) as eng:
-        eng.serve(pipeline_traces)
-        meter = eng.stats()["pipeline"]
-        assert all(
-            not s.inflight and s.inflight_bytes == 0 for s in eng._shards
-        )
-    assert meter["depth"] == 4
-    assert meter["sends"] > 0
-    assert meter["sends"] == sum(meter["inflight_hist"])
-    assert meter["inflight_hist"][0] == 0  # a send leaves >= 1 in flight
-    replies = sum(w["replies"] for w in meter["per_worker"].values())
-    assert replies == meter["sends"]
-    assert 0.0 <= meter["overlap_ratio"] <= 1.0
-    for w in meter["per_worker"].values():
-        assert 0 <= w["overlapped"] <= w["replies"]
-
-
-def test_constructor_validates_pipeline_knobs(dart):
-    with pytest.raises(ValueError):
-        dart.sharded(workers=1, pipeline_depth=0)
-    with pytest.raises(ValueError):
-        dart.sharded(workers=1, pipe_window_bytes=100)
+    _assert_exactly_once_ascending(seen, chaos_traces, chaos_oracle)
