@@ -2,34 +2,23 @@
 
 Subcommands mirror a deployment workflow:
 
-* ``trace``    — generate a synthetic SPEC-like workload trace (``.npz``) and
-  print its Table IV-style statistics.
-* ``train``    — run the full Fig. 2 pipeline on a trace and save the
-  resulting table hierarchy (the thing a DART deployment ships).
-* ``simulate`` — replay a trace through the LLC simulator with a chosen
-  prefetcher (rule-based, or DART tables from ``train``) and print the
-  accuracy / coverage / IPC metrics.
-* ``stream``   — serve a trace through the online runtime (chunked ingestion,
-  micro-batched prediction) and report throughput plus p50/p99 per-access
-  latency; optionally compare against the batch path and emit a JSON
-  artifact. With ``--cores N`` the trace is split into N interleaved shards
-  (concurrent streams); ``--share-model`` serves them all from one shared
-  model engine with cross-stream micro-batching; ``--workers W`` scales out
-  across W OS worker processes with the tables mapped zero-copy from shared
-  memory, and ``--churn`` runs the elastic scenario on that fleet (mid-serve
-  stream admission/close, live migration, worker rescale, a hot swap — with
-  a bit-identity gate against the batch path). With ``--adapt`` (plus
-  ``--student`` from ``train --save-student``) the engine monitors the
-  stream for drift, re-fits the tables on the recent window, and hot-swaps
-  them without dropping an emission.
-* ``configure`` — query the table configurator for a (latency, storage)
-  budget without training anything.
-* ``registry`` — the content-addressed model registry: ``put`` a trained
-  artifact (optionally as a row-delta against its parent version), ``log``
-  a ref's lineage, ``checkout`` any version to a standalone ``.npz``, and
-  ``push``/``pull`` lineages against a filesystem remote.
+* ``trace``     — generate a synthetic SPEC-like trace and print its Table IV statistics.
+* ``train``     — run the Fig. 2 pipeline on a trace and save the table hierarchy.
+* ``simulate``  — replay a trace through the LLC simulator: accuracy, coverage, IPC.
+* ``stream``    — serve a trace online (``--cores``, ``--workers``, ``--churn``, ``--adapt``).
+* ``record``    — capture a sharded serving session (elastic churn scripted in).
+* ``replay``    — re-execute a recorded session under the behavioral contracts.
+* ``configure`` — query the table configurator for a (latency, storage) budget.
+* ``hierarchy`` — full L1D/L2/LLC + banked-DRAM simulation of one trace.
+* ``multicore`` — N cores sharing one LLC and DRAM, optionally one shared model.
+* ``contend``   — tenants contending for a shared L2, with an optional throttle.
+* ``analyze``   — trace statistics plus OPT replacement headroom.
+* ``export``    — pack trained tables into a binary blob, or print its provenance.
+* ``registry``  — the content-addressed model registry (put/log/checkout/push/pull).
+* ``report``    — a training-free markdown campaign report.
 
-Every subcommand is importable and unit-tested via :func:`main(argv)`.
+Every ``--trace`` takes ``.npz``, ``.csv`` or whitespace text, each optionally
+gzipped. Every subcommand is importable and unit-tested via :func:`main(argv)`.
 """
 
 from __future__ import annotations
@@ -38,6 +27,47 @@ import argparse
 import sys
 
 from repro.utils import log
+
+
+def _load_trace(args):
+    """The ``--trace`` file (any format ``load_any`` reads), else ``--workload``."""
+    from repro.traces import load_any, make_workload
+
+    if args.trace:
+        return load_any(args.trace)
+    return make_workload(args.workload, scale=args.scale, seed=args.seed)
+
+
+def _tenant_traces(args) -> list:
+    """One synthetic trace per positional workload, seeded ``--seed + i``."""
+    from repro.traces import make_workload
+
+    return [
+        make_workload(w, scale=args.scale, seed=args.seed + i)
+        for i, w in enumerate(args.workloads)
+    ]
+
+
+def _split(trace, n: int) -> list:
+    """``n`` contiguous, near-equal shards of ``trace``."""
+    bounds = [round(i * len(trace) / n) for i in range(n + 1)]
+    return [trace.slice(bounds[i], bounds[i + 1]) for i in range(n)]
+
+
+def _write_json(path: str, obj, what: str) -> None:
+    import json
+
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(obj, f, indent=2, sort_keys=True, default=str)
+    print(f"wrote {what} to {path}")
+
+
+def _require_positive(args, *names: str) -> None:
+    """Refuse any of the named options below 1 (``None`` means unset)."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value < 1:
+            raise SystemExit(f"--{name.replace('_', '-')} must be >= 1")
 
 
 def _cmd_trace(args) -> int:
@@ -62,12 +92,8 @@ def _cmd_train(args) -> int:
     from repro.distillation import TrainConfig
     from repro.models import ModelConfig, save_attention_predictor
     from repro.runtime import ModelArtifact
-    from repro.traces import MemoryTrace, make_workload
 
-    if args.trace:
-        trace = MemoryTrace.load(args.trace)
-    else:
-        trace = make_workload(args.workload, scale=args.scale, seed=args.seed)
+    trace = _load_trace(args)
     log.set_verbose(True)
     pipeline = DARTPipeline(
         preprocess=PreprocessConfig(),
@@ -182,14 +208,17 @@ def _make_prefetcher(name: str, tables: str | None, student: str | None = None):
     raise SystemExit(f"unknown prefetcher {name!r}")
 
 
+def _require_model(pf, needs: str, attr: str = "sharded"):
+    """``pf``, refused unless it is model-backed (has ``attr``)."""
+    if not hasattr(pf, attr):
+        raise SystemExit(f"{needs} needs a model-backed prefetcher (--prefetcher dart)")
+    return pf
+
+
 def _cmd_simulate(args) -> int:
     from repro.sim import SimConfig, ipc_improvement, simulate
-    from repro.traces import MemoryTrace, make_workload
 
-    if args.trace:
-        trace = MemoryTrace.load(args.trace)
-    else:
-        trace = make_workload(args.workload, scale=args.scale, seed=args.seed)
+    trace = _load_trace(args)
     cfg = SimConfig()
     base = simulate(trace, None, cfg, name="baseline")
     pf = _make_prefetcher(args.prefetcher, args.tables)
@@ -215,178 +244,156 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _stream_many(args) -> int:
-    """``stream --cores N``: N interleaved trace shards, optionally sharing
-    one model engine (``--share-model``) with cross-stream micro-batching.
+def _stream_many(args, pf) -> int:
+    """``stream --cores N`` / ``--workers W``: N interleaved trace shards.
 
-    Sharding needs random access, so unlike the single-stream path this
-    materializes the trace (``--chunk-size`` does not apply); to serve truly
-    independent live streams without materializing, drive
-    :class:`repro.runtime.MultiStreamEngine` handles directly.
+    Served by per-stream engines, one shared model engine (``--share-model``)
+    or W worker processes mapping the tables zero-copy from shared memory
+    (``--workers``, one stream per worker unless ``--cores`` is given; see
+    DESIGN.md "Sharded serving"). Sharding needs random access, so this
+    materializes the trace (``--chunk-size`` does not apply).
     """
-    import json
-
     from repro.runtime import as_streaming, serve_interleaved
-    from repro.traces import load_any, make_workload
 
-    n = args.cores
-    trace = load_any(args.trace) if args.trace else make_workload(
-        args.workload, scale=args.scale, seed=args.seed
-    )
-    bounds = [round(i * len(trace) / n) for i in range(n + 1)]
-    shards = [trace.slice(bounds[i], bounds[i + 1]) for i in range(n)]
+    workers = args.workers
+    n = args.cores if args.cores > 1 else workers
+    shards = _split(_load_trace(args), n)
     trace_label = args.trace or args.workload
+    knobs = {"batch_size": args.batch_size, "max_wait": args.max_wait}
 
-    pf = _make_prefetcher(args.prefetcher, args.tables)
-    if pf is None:
-        raise SystemExit("stream requires a prefetcher (try --prefetcher bo)")
-    engine = None
-    if args.share_model:
-        if not hasattr(pf, "multistream"):
-            raise SystemExit(
-                "--share-model needs a model-backed prefetcher (--prefetcher dart)"
-            )
-        engine = pf.multistream(batch_size=args.batch_size, max_wait=args.max_wait)
-        streams = engine.streams(n, names=[f"{pf.name}[{i}]" for i in range(n)])
-    elif hasattr(pf, "multistream"):
-        # Model-backed: each stream() gets private micro-batching state while
-        # sharing the one loaded model — no N reloads of the tables file.
-        streams = [
-            pf.stream(batch_size=args.batch_size, max_wait=args.max_wait)
-            for _ in range(n)
-        ]
+    if workers > 1:
+        with pf.sharded(workers=workers, **knobs) as engine:
+            agg, per_stream, lists = engine.serve(shards, collect=args.compare_batch)
+            stats = engine.stats()
+        shm_kb = (stats["shm_bytes"] or 0) / 1024
+        title = (
+            f"across {workers} worker processes (B={args.batch_size}, "
+            f"{stats['predict_calls']} predict calls, {shm_kb:.0f} KB shared tables)"
+        )
+        extra = {"workers": workers, "engine": stats}
+        fleet = f" / {workers} workers"
     else:
-        # Rule-based state machines: a fresh prefetcher instance per shard so
-        # per-stream predictor state stays private.
-        streams = [
-            as_streaming(
-                _make_prefetcher(args.prefetcher, args.tables),
-                batch_size=args.batch_size,
-                max_wait=args.max_wait,
-            )
-            for _ in range(n)
-        ]
-    agg, per_stream, lists = serve_interleaved(streams, shards, collect=args.compare_batch)
-    predict_calls = (
-        engine.predict_calls
-        if engine is not None
-        else sum(getattr(s, "predict_calls", 0) for s in streams)
-    )
+        if args.share_model:
+            engine = pf.multistream(**knobs)
+            streams = engine.streams(n)
+        else:
+            # Every stream gets private state over the one loaded prefetcher:
+            # a model engine its micro-batching state (no N reloads of the
+            # tables file), a rule-based adapter its own ``reset_state()``.
+            streams = [as_streaming(pf, **knobs) for _ in range(n)]
+            for i, stream in enumerate(streams):  # named like engine handles
+                stream.name = f"{pf.name}[{i}]"
+        agg, per_stream, lists = serve_interleaved(
+            streams, shards, collect=args.compare_batch
+        )
+        predict_calls = (
+            engine.predict_calls
+            if args.share_model
+            else sum(getattr(s, "predict_calls", 0) for s in streams)
+        )
+        mode = "shared model" if args.share_model else "per-stream engines"
+        title = f"({mode}, B={args.batch_size}, {predict_calls} predict calls)"
+        extra = {"share_model": bool(args.share_model), "predict_calls": predict_calls}
+        if args.share_model:
+            extra["engine"] = engine.stats()
+        fleet = ""
 
-    rows = [
-        [s.name, f"{s.accesses:,}", f"{s.prefetches:,}",
-         f"{s.p50_us:.1f}", f"{s.p99_us:.1f}", f"{s.max_us:.1f}"]
-        for s in per_stream
-    ]
-    rows.append(
-        ["aggregate", f"{agg.accesses:,}", f"{agg.prefetches:,}",
-         f"{agg.p50_us:.1f}", f"{agg.p99_us:.1f}", f"{agg.max_us:.1f}"]
-    )
+    def _row(name, s):
+        return [name, f"{s.accesses:,}", f"{s.prefetches:,}",
+                f"{s.p50_us:.1f}", f"{s.p99_us:.1f}", f"{s.max_us:.1f}"]
+
+    rows = [_row(s.name, s) for s in per_stream] + [_row("aggregate", agg)]
     record = {
         "prefetcher": pf.name,
         "trace": trace_label,
         "cores": n,
-        "share_model": bool(args.share_model),
         "batch_size": args.batch_size,
         "max_wait": args.max_wait,
-        "predict_calls": predict_calls,
         "aggregate": agg.to_dict(),
         "per_stream": [s.to_dict() for s in per_stream],
+        **extra,
     }
-    if engine is not None:
-        record["engine"] = engine.stats()
     identical = None
     if args.compare_batch:
-        # Each shard must match its solo batch run. Model-backed batch
-        # prediction is stateless, so the loaded model is reused; rule-based
-        # reference runs need a fresh state machine per shard.
-        def _reference(i):
-            ref = pf if hasattr(pf, "multistream") else _make_prefetcher(
-                args.prefetcher, args.tables
-            )
-            return ref.prefetch_lists(shards[i])
-
-        identical = all(lists[i] == _reference(i) for i in range(n))
+        # Each shard must match its solo batch run (``prefetch_lists`` starts
+        # from fresh predictor state, so the one prefetcher serves them all).
+        identical = all(got == pf.prefetch_lists(s) for got, s in zip(lists, shards))
         rows.append(["bit-identical to solo batch", str(identical), "", "", "", ""])
         record["identical_to_batch"] = identical
-    mode = "shared model" if args.share_model else "per-stream engines"
     log.table(
-        f"{n}-stream serving of {trace_label} ({mode}, B={args.batch_size}, "
-        f"{predict_calls} predict calls)",
+        f"{n}-stream serving of {trace_label} {title}",
         ["stream", "accesses", "prefetches", "p50 us", "p99 us", "max us"],
         rows,
     )
-    print(f"throughput: {agg.throughput:,.0f} accesses/s across {n} streams")
+    print(f"throughput: {agg.throughput:,.0f} accesses/s across {n} streams{fleet}")
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as f:
-            json.dump(record, f, indent=2, sort_keys=True)
-        print(f"wrote serving stats to {args.json}")
-    if identical is False:
-        return 1
-    return 0
+        _write_json(args.json, record, "serving stats")
+    return 1 if identical is False else 0
 
 
-def _stream_churn(args) -> int:
-    """``stream --workers W --churn``: the elastic serving scenario.
+def _churn(pf, engine, shards, late, reason: str):
+    """Serve ``shards`` through the started sharded ``engine``, then close all.
 
-    Serves N trace shards through a sharded fleet while injecting the full
-    elastic lifecycle at scripted points — grow the fleet, live-migrate a
-    stream, hot-swap the model (version bump), shrink back, admit a late
-    tenant, close everything — and gates the run on bit-identity against the
-    batch path. This is the CLI face of ``tests/test_elastic.py``.
+    With L the shortest shard: rescale to W+1 at L/4, admit ``late`` at L/3,
+    migrate stream 0 at L/2, hot-swap at 5L/8 and rescale back at 3L/4
+    (``late=None``: no scripted op). Returns ``(sources, events, emissions)``,
+    ``emissions[k]`` mapping stream k's access seq to its prefetched blocks.
     """
-    import json
-
-    from repro.traces import load_any, make_workload
-
-    n = args.cores if args.cores > 1 else max(args.workers, 2)
-    trace = load_any(args.trace) if args.trace else make_workload(
-        args.workload, scale=args.scale, seed=args.seed
-    )
-    bounds = [round(i * len(trace) / (n + 1)) for i in range(n + 2)]
-    shards = [trace.slice(bounds[i], bounds[i + 1]) for i in range(n + 1)]
-    late_shard = shards.pop()  # admitted mid-serve
-    trace_label = args.trace or args.workload
-
-    pf = _make_prefetcher(args.prefetcher, args.tables)
-    if pf is None or not hasattr(pf, "sharded"):
-        raise SystemExit("--churn needs a model-backed prefetcher (--prefetcher dart)")
-    engine = pf.sharded(
-        workers=args.workers, batch_size=args.batch_size, max_wait=args.max_wait,
-    )
-    events: list[dict] = []
+    n = len(shards)
     length = min(len(s) for s in shards)
-    marks = {
-        length // 4: ("rescale", lambda: engine.rescale(args.workers + 1)),
+    boot = engine.workers
+    artifact = getattr(pf, "artifact", None)
+    handles = [engine.open_stream(f"tenant[{i}]") for i in range(n)]
+    sources = list(shards)
+    events: list[dict] = []
+    emissions: list[dict] = [{} for _ in range(n + 1)]
+    marks = {} if late is None else {
+        length // 4: ("rescale", lambda: engine.rescale(boot + 1)),
         length // 2: ("migrate", lambda: engine.migrate_stream(
             handles[0], (handles[0].shard_id + 1) % engine.workers)),
         5 * length // 8: ("swap", lambda: engine.swap_model(
-            pf.artifact.successor(pf.artifact.model, reason="churn rotate"))
-            if getattr(pf, "artifact", None) is not None else None),
-        3 * length // 4: ("rescale", lambda: engine.rescale(args.workers)),
+            artifact.successor(artifact.model, reason=reason))
+            if artifact is not None else None),
+        3 * length // 4: ("rescale", lambda: engine.rescale(boot)),
     }
-    with engine:
-        handles = [engine.open_stream(f"tenant[{i}]") for i in range(n)]
-        collected = [{} for _ in range(n + 1)]
-        sources = list(shards)
-        for i in range(length):
-            if i == length // 3:  # late admission: a tenant arrives mid-serve
-                handles.append(engine.open_stream("tenant[late]"))
-                sources.append(late_shard)
-                events.append({"at": i, "op": "open", "info": {
-                    "stream": handles[-1].index, "worker": handles[-1].shard_id}})
-            if i in marks:
-                op, fn = marks[i]
-                info = fn()
-                events.append({"at": i, "op": op, "info": info})
-            for k, (h, src) in enumerate(zip(handles, sources)):
-                j = i if k < n else i - length // 3
-                if 0 <= j < len(src):
-                    for em in h.ingest(int(src.pcs[j]), int(src.addrs[j])):
-                        collected[k][em.seq] = list(em.blocks)
-        for k, h in enumerate(handles):
-            for em in engine.close_stream(h):
-                collected[k][em.seq] = list(em.blocks)
+    for i in range(length):
+        if late is not None and i == length // 3:  # a tenant arrives mid-serve
+            handles.append(engine.open_stream("tenant[late]"))
+            sources.append(late)
+            events.append({"at": i, "op": "open", "info": {
+                "stream": handles[-1].index, "worker": handles[-1].shard_id}})
+        if i in marks:
+            op, fn = marks[i]
+            events.append({"at": i, "op": op, "info": fn()})
+        for k, (h, src) in enumerate(zip(handles, sources)):
+            j = i if k < n else i - length // 3
+            if 0 <= j < len(src):
+                for em in h.ingest(int(src.pcs[j]), int(src.addrs[j])):
+                    emissions[k][em.seq] = list(em.blocks)
+    for k, h in enumerate(handles):
+        for em in engine.close_stream(h):
+            emissions[k][em.seq] = list(em.blocks)
+    return sources, events, emissions
+
+
+def _stream_churn(args, pf) -> int:
+    """``stream --workers W --churn``: the elastic serving scenario.
+
+    Serves N trace shards through a sharded fleet under the scripted elastic
+    lifecycle of :func:`_churn` — grow the fleet, live-migrate a stream,
+    hot-swap the model (version bump), shrink back, admit a late tenant,
+    close everything — and gates the run on bit-identity against the batch
+    path. This is the CLI face of ``tests/test_elastic.py``.
+    """
+    import json
+
+    n = args.cores if args.cores > 1 else args.workers  # --churn needs W >= 2
+    *shards, late = _split(_load_trace(args), n + 1)
+    trace_label = args.trace or args.workload
+    with pf.sharded(
+        workers=args.workers, batch_size=args.batch_size, max_wait=args.max_wait,
+    ) as engine:
+        sources, events, emissions = _churn(pf, engine, shards, late, "churn rotate")
         stats = engine.stats()
     rows = [[str(e["at"]), e["op"],
              json.dumps(e["info"], default=str) if e["info"] else "-"]
@@ -405,13 +412,11 @@ def _stream_churn(args) -> int:
     )
     identical = None
     if args.compare_batch:
-        identical = True
-        for k, src in enumerate(sources):
-            served = len(collected[k])
-            want = pf.prefetch_lists(src.slice(0, served))
-            got = [collected[k].get(s) for s in range(served)]
-            if got != want:
-                identical = False
+        identical = all(
+            [got.get(s) for s in range(len(got))]
+            == pf.prefetch_lists(src.slice(0, len(got)))
+            for src, got in zip(sources, emissions)
+        )
         print(f"bit-identical to batch under churn: {identical}")
     if args.json:
         record = {
@@ -419,9 +424,7 @@ def _stream_churn(args) -> int:
             "batch_size": args.batch_size, "events": events, "engine": stats,
             "identical_to_batch": identical,
         }
-        with open(args.json, "w", encoding="utf-8") as f:
-            json.dump(record, f, indent=2, sort_keys=True, default=str)
-        print(f"wrote churn stats to {args.json}")
+        _write_json(args.json, record, "churn stats")
     return 0 if identical in (None, True) else 1
 
 
@@ -430,54 +433,21 @@ def _cmd_record(args) -> int:
 
     Serves N trace shards through a sharded fleet under a
     :class:`~repro.runtime.record.SessionRecorder` — by default with the full
-    elastic churn scripted in (rescale, live migration, hot swap, late
-    admission) — and writes the sealed ``DARTTRC1`` trace. ``repro replay``
-    re-executes it under the behavioral contracts.
+    elastic churn of :func:`_churn` scripted in (rescale, live migration, hot
+    swap, late admission) — and writes the sealed ``DARTTRC1`` trace.
+    ``repro replay`` re-executes it under the behavioral contracts.
     """
     from repro.runtime import SessionRecorder
-    from repro.traces import load_any, make_workload
 
-    pf = _make_prefetcher(args.prefetcher, args.tables)
-    if pf is None or not hasattr(pf, "sharded"):
-        raise SystemExit("record needs a model-backed prefetcher (--prefetcher dart)")
-    trace = load_any(args.trace) if args.trace else make_workload(
-        args.workload, scale=args.scale, seed=args.seed
-    )
-    n = max(args.streams, 1)
-    bounds = [round(i * len(trace) / (n + 1)) for i in range(n + 2)]
-    shards = [trace.slice(bounds[i], bounds[i + 1]) for i in range(n + 1)]
-    late_shard = shards.pop()  # admitted mid-serve under --churn
-    length = min(len(s) for s in shards)
+    _require_positive(args, "streams", "workers", "batch_size")
+    pf = _require_model(_make_prefetcher(args.prefetcher, args.tables), "record")
+    *shards, late = _split(_load_trace(args), args.streams + 1)
 
     recorder = SessionRecorder()
     engine = pf.sharded(workers=args.workers, batch_size=args.batch_size)
     recorder.attach(engine, model=getattr(pf, "artifact", None))
-    marks = {}
-    if args.churn:
-        marks = {
-            length // 4: lambda: engine.rescale(args.workers + 1),
-            length // 2: lambda: engine.migrate_stream(
-                handles[0], (handles[0].shard_id + 1) % engine.workers),
-            5 * length // 8: lambda: engine.swap_model(
-                pf.artifact.successor(pf.artifact.model, reason="recorded churn"))
-                if getattr(pf, "artifact", None) is not None else None,
-            3 * length // 4: lambda: engine.rescale(args.workers),
-        }
     with engine:
-        handles = [engine.open_stream(f"tenant[{i}]") for i in range(n)]
-        sources = list(shards)
-        for i in range(length):
-            if args.churn and i == length // 3:
-                handles.append(engine.open_stream("tenant[late]"))
-                sources.append(late_shard)
-            if i in marks:
-                marks[i]()
-            for k, (h, src) in enumerate(zip(handles, sources)):
-                j = i if k < n else i - length // 3
-                if 0 <= j < len(src):
-                    h.ingest(int(src.pcs[j]), int(src.addrs[j]))
-        for h in handles:
-            engine.close_stream(h)
+        _churn(pf, engine, shards, late if args.churn else None, "recorded churn")
     session = recorder.trace()
     nbytes = session.save(args.output)
     s = session.summary()
@@ -497,8 +467,6 @@ def _cmd_replay(args) -> int:
     Exits nonzero with the named contract on the first violation — the CI
     face of the golden-trace gate.
     """
-    import json
-
     from repro.runtime import ContractViolation, SessionTrace
     from repro.runtime.replay import replay
 
@@ -521,105 +489,17 @@ def _cmd_replay(args) -> int:
     )
     print(f"contracts held: {', '.join(report.contracts)}")
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as f:
-            json.dump(report.to_dict(), f, indent=2, sort_keys=True)
-        print(f"wrote replay report to {args.json}")
-    return 0
-
-
-def _stream_sharded(args) -> int:
-    """``stream --workers W``: shard N streams across W OS worker processes.
-
-    The table hierarchy is published once into shared memory; each worker
-    maps it zero-copy and runs its own shared-model engine over its subset
-    of the streams (see DESIGN.md "Sharded serving"). Defaults to one stream
-    per worker when ``--cores`` was left at 1.
-    """
-    import json
-
-    from repro.traces import load_any, make_workload
-
-    n = args.cores if args.cores > 1 else args.workers
-    trace = load_any(args.trace) if args.trace else make_workload(
-        args.workload, scale=args.scale, seed=args.seed
-    )
-    bounds = [round(i * len(trace) / n) for i in range(n + 1)]
-    shards = [trace.slice(bounds[i], bounds[i + 1]) for i in range(n)]
-    trace_label = args.trace or args.workload
-
-    pf = _make_prefetcher(args.prefetcher, args.tables)
-    if pf is None or not hasattr(pf, "sharded"):
-        raise SystemExit(
-            "--workers needs a model-backed prefetcher (--prefetcher dart)"
-        )
-    engine = pf.sharded(
-        workers=args.workers, batch_size=args.batch_size, max_wait=args.max_wait,
-    )
-    with engine:
-        agg, per_stream, lists = engine.serve(shards, collect=args.compare_batch)
-        stats = engine.stats()
-
-    rows = [
-        [s.name, f"{s.accesses:,}", f"{s.prefetches:,}",
-         f"{s.p50_us:.1f}", f"{s.p99_us:.1f}", f"{s.max_us:.1f}"]
-        for s in per_stream
-    ]
-    rows.append(
-        ["aggregate", f"{agg.accesses:,}", f"{agg.prefetches:,}",
-         f"{agg.p50_us:.1f}", f"{agg.p99_us:.1f}", f"{agg.max_us:.1f}"]
-    )
-    record = {
-        "prefetcher": pf.name,
-        "trace": trace_label,
-        "cores": n,
-        "workers": args.workers,
-        "batch_size": args.batch_size,
-        "max_wait": args.max_wait,
-        "engine": stats,
-        "aggregate": agg.to_dict(),
-        "per_stream": [s.to_dict() for s in per_stream],
-    }
-    identical = None
-    if args.compare_batch:
-        identical = all(lists[i] == pf.prefetch_lists(shards[i]) for i in range(n))
-        rows.append(["bit-identical to solo batch", str(identical), "", "", "", ""])
-        record["identical_to_batch"] = identical
-    shm_kb = (stats["shm_bytes"] or 0) / 1024
-    log.table(
-        f"{n}-stream serving of {trace_label} across {args.workers} worker "
-        f"processes (B={args.batch_size}, {stats['predict_calls']} predict "
-        f"calls, {shm_kb:.0f} KB shared tables)",
-        ["stream", "accesses", "prefetches", "p50 us", "p99 us", "max us"],
-        rows,
-    )
-    print(f"throughput: {agg.throughput:,.0f} accesses/s across {n} streams "
-          f"/ {args.workers} workers")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as f:
-            json.dump(record, f, indent=2, sort_keys=True)
-        print(f"wrote serving stats to {args.json}")
-    if identical is False:
-        return 1
+        _write_json(args.json, report.to_dict(), "replay report")
     return 0
 
 
 def _cmd_stream(args) -> int:
-    import json
     import time
 
     from repro.runtime import as_streaming, serve
-    from repro.traces import iter_chunks, make_workload
+    from repro.traces import iter_chunks
 
-    if args.batch_size < 1:
-        raise SystemExit("--batch-size must be >= 1")
-    if args.max_wait is not None and args.max_wait < 1:
-        raise SystemExit("--max-wait must be >= 1")
-    if args.chunk_size < 1:
-        raise SystemExit("--chunk-size must be >= 1")
-    if args.cores < 1:
-        raise SystemExit("--cores must be >= 1")
-    if args.workers < 1:
-        raise SystemExit("--workers must be >= 1")
+    _require_positive(args, "batch_size", "max_wait", "chunk_size", "cores", "workers")
     if args.adapt and args.cores > 1:
         raise SystemExit("--adapt currently serves a single stream (drop --cores)")
     if args.churn and args.workers < 2:
@@ -632,29 +512,33 @@ def _cmd_stream(args) -> int:
                 "--workers already shares the tables across all streams "
                 "(drop --share-model)"
             )
-        if args.churn:
-            return _stream_churn(args)
-        return _stream_sharded(args)
-    if args.cores > 1:
-        return _stream_many(args)
-    if args.share_model:
-        raise SystemExit("--share-model only makes sense with --cores N (N > 1)")
-    if args.adapt and args.prefetcher != "dart":
-        raise SystemExit("--adapt needs re-fittable tables (--prefetcher dart)")
-    if args.adapt and args.compare_batch:
-        raise SystemExit(
-            "--adapt changes the served model mid-stream; the batch path "
-            "cannot match it (drop --compare-batch)"
-        )
-    if args.trace:
-        source = iter_chunks(args.trace, chunk_size=args.chunk_size)
-        trace_label = args.trace
-    else:
-        source = make_workload(args.workload, scale=args.scale, seed=args.seed)
-        trace_label = args.workload
+    elif args.cores == 1:
+        if args.share_model:
+            raise SystemExit("--share-model only makes sense with --cores N (N > 1)")
+        if args.adapt and args.prefetcher != "dart":
+            raise SystemExit("--adapt needs re-fittable tables (--prefetcher dart)")
+        if args.adapt and args.compare_batch:
+            raise SystemExit(
+                "--adapt changes the served model mid-stream; the batch path "
+                "cannot match it (drop --compare-batch)"
+            )
     pf = _make_prefetcher(args.prefetcher, args.tables, args.student)
+    if args.workers > 1:
+        _require_model(pf, "--churn" if args.churn else "--workers")
+    if args.share_model:
+        _require_model(pf, "--share-model", "multistream")
     if pf is None:
         raise SystemExit("stream requires a prefetcher (try --prefetcher bo)")
+    if args.churn:
+        return _stream_churn(args, pf)
+    if args.workers > 1 or args.cores > 1:
+        return _stream_many(args, pf)
+    if args.trace:
+        # Chunked ingestion: the single stream never holds the whole file.
+        source = iter_chunks(args.trace, chunk_size=args.chunk_size)
+    else:
+        source = _load_trace(args)
+    trace_label = args.trace or args.workload
     stream_kwargs = {"batch_size": args.batch_size, "max_wait": args.max_wait}
     if args.adapt:
         if getattr(pf, "student", None) is None:
@@ -712,9 +596,7 @@ def _cmd_stream(args) -> int:
                 ])
     if args.compare_batch:
         # Batch reference needs the materialized trace; rebuild the source.
-        from repro.traces import load_any
-
-        trace = load_any(args.trace) if args.trace else source
+        trace = _load_trace(args) if args.trace else source
         t0 = time.perf_counter()
         batch_lists = pf.prefetch_lists(trace)
         batch_seconds = time.perf_counter() - t0
@@ -732,9 +614,7 @@ def _cmd_stream(args) -> int:
         rows,
     )
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as f:
-            json.dump(record, f, indent=2, sort_keys=True)
-        print(f"wrote serving stats to {args.json}")
+        _write_json(args.json, record, "serving stats")
     if args.compare_batch and not record["identical_to_batch"]:
         return 1
     return 0
@@ -750,33 +630,23 @@ def _cmd_configure(args) -> int:
     return 0
 
 
-def _load_trace(args):
-    from repro.traces import MemoryTrace, make_workload
-
-    if getattr(args, "trace", None):
-        return MemoryTrace.load(args.trace)
-    return make_workload(args.workload, scale=args.scale, seed=args.seed)
-
-
 def _cmd_hierarchy(args) -> int:
     from repro.sim import HierarchyConfig, ipc_improvement, simulate_hierarchy
 
     trace = _load_trace(args)
     cfg = HierarchyConfig(paging=not args.no_paging, tlb=args.tlb)
     base = simulate_hierarchy(trace, None, cfg, name="baseline")
-    rows = [
-        ["baseline", f"{base.sim.ipc:.3f}", "-",
-         f"{base.l1d.hit_rate:.2%}", f"{base.l2.hit_rate:.2%}",
-         f"{base.llc.hit_rate:.2%}", f"{base.dram['row_hit_rate']:.2%}"]
-    ]
+
+    def _row(name, r, gain):
+        return [name, f"{r.sim.ipc:.3f}", gain,
+                f"{r.l1d.hit_rate:.2%}", f"{r.l2.hit_rate:.2%}",
+                f"{r.llc.hit_rate:.2%}", f"{r.dram['row_hit_rate']:.2%}"]
+
+    rows = [_row("baseline", base, "-")]
     pf = _make_prefetcher(args.prefetcher, args.tables)
     if pf is not None:
         r = simulate_hierarchy(trace, pf, cfg)
-        rows.append(
-            [pf.name, f"{r.sim.ipc:.3f}", f"{ipc_improvement(r.sim, base.sim):+.1%}",
-             f"{r.l1d.hit_rate:.2%}", f"{r.l2.hit_rate:.2%}",
-             f"{r.llc.hit_rate:.2%}", f"{r.dram['row_hit_rate']:.2%}"]
-        )
+        rows.append(_row(pf.name, r, f"{ipc_improvement(r.sim, base.sim):+.1%}"))
     log.table(
         f"hierarchy simulation of {trace.name or 'trace'} ({len(trace):,} accesses)",
         ["run", "IPC", "ΔIPC", "L1D hit", "L2 hit", "LLC hit", "DRAM row hit"],
@@ -788,19 +658,13 @@ def _cmd_hierarchy(args) -> int:
 def _cmd_multicore(args) -> int:
     from repro.sim import HierarchyConfig
     from repro.sim.multicore import simulate_multicore
-    from repro.traces import make_workload
 
-    traces = [
-        make_workload(w, scale=args.scale, seed=args.seed + i)
-        for i, w in enumerate(args.workloads)
-    ]
+    traces = _tenant_traces(args)
     cfg = HierarchyConfig()
     if args.share_model:
-        shared = _make_prefetcher(args.prefetcher, args.tables)
-        if shared is None or not hasattr(shared, "multistream"):
-            raise SystemExit(
-                "--share-model needs a model-backed prefetcher (--prefetcher dart)"
-            )
+        shared = _require_model(
+            _make_prefetcher(args.prefetcher, args.tables), "--share-model", "multistream"
+        )
         r = simulate_multicore(traces, config=cfg, shared_prefetcher=shared)
     else:
         pf = [_make_prefetcher(args.prefetcher, args.tables) for _ in traces]
@@ -821,16 +685,10 @@ def _cmd_multicore(args) -> int:
 
 
 def _cmd_contend(args) -> int:
-    import json
-
     from repro.runtime import AdmissionController, ThrottleConfig, as_streaming
     from repro.sim import ContentionConfig, PoisonedStream, simulate_contention
-    from repro.traces import make_workload
 
-    traces = [
-        make_workload(w, scale=args.scale, seed=args.seed + i)
-        for i, w in enumerate(args.workloads)
-    ]
+    traces = _tenant_traces(args)
     cfg = ContentionConfig(
         slots_per_cycle=args.slots,
         prefetch_level=args.prefetch_level,
@@ -883,9 +741,7 @@ def _cmd_contend(args) -> int:
         rows,
     )
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as f:
-            json.dump(res.summary(), f, indent=2, sort_keys=True)
-        print(f"wrote contention summary to {args.json}")
+        _write_json(args.json, res.summary(), "contention summary")
     return 0
 
 
@@ -998,6 +854,21 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _add_trace_args(p, scale: float, seed: int) -> None:
+    """``--workload/--trace/--scale/--seed``: the trace a subcommand runs on."""
+    p.add_argument("--workload", default="462.libquantum")
+    p.add_argument("--trace", default=None, help="trace file (.npz/.csv/.txt[.gz])")
+    p.add_argument("--scale", type=float, default=scale)
+    p.add_argument("--seed", type=int, default=seed)
+
+
+def _add_prefetcher_args(
+    p, default: str, tables_help: str | None = "tables .npz for --prefetcher dart"
+) -> None:
+    p.add_argument("--prefetcher", choices=PREFETCHER_CHOICES, default=default)
+    p.add_argument("--tables", default=None, help=tables_help)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="DART reproduction command-line tools"
@@ -1012,10 +883,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.set_defaults(func=_cmd_trace)
 
     p_train = sub.add_parser("train", help="run the DART pipeline, save tables")
-    p_train.add_argument("--workload", default="462.libquantum")
-    p_train.add_argument("--trace", default=None, help="load trace .npz instead")
-    p_train.add_argument("--scale", type=float, default=0.05)
-    p_train.add_argument("--seed", type=int, default=0)
+    _add_trace_args(p_train, scale=0.05, seed=0)
     p_train.add_argument("--epochs", type=int, default=3)
     p_train.add_argument("--max-samples", type=int, default=3000)
     p_train.add_argument("--teacher-layers", type=int, default=2)
@@ -1030,21 +898,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.set_defaults(func=_cmd_train)
 
     p_sim = sub.add_parser("simulate", help="simulate a prefetcher on a trace")
-    p_sim.add_argument("--workload", default="462.libquantum")
-    p_sim.add_argument("--trace", default=None)
-    p_sim.add_argument("--scale", type=float, default=0.1)
-    p_sim.add_argument("--seed", type=int, default=2)
-    p_sim.add_argument("--prefetcher", choices=PREFETCHER_CHOICES, default="bo")
-    p_sim.add_argument("--tables", default=None, help="tables .npz for --prefetcher dart")
+    _add_trace_args(p_sim, scale=0.1, seed=2)
+    _add_prefetcher_args(p_sim, "bo")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_str = sub.add_parser("stream", help="serve a trace through the online runtime")
-    p_str.add_argument("--workload", default="462.libquantum")
-    p_str.add_argument("--trace", default=None, help="trace file (.npz/.csv/.txt[.gz])")
-    p_str.add_argument("--scale", type=float, default=0.1)
-    p_str.add_argument("--seed", type=int, default=2)
-    p_str.add_argument("--prefetcher", choices=PREFETCHER_CHOICES, default="bo")
-    p_str.add_argument("--tables", default=None, help="tables .npz for --prefetcher dart")
+    _add_trace_args(p_str, scale=0.1, seed=2)
+    _add_prefetcher_args(p_str, "bo")
     p_str.add_argument("--batch-size", type=int, default=64, help="micro-batch size B")
     p_str.add_argument("--max-wait", type=int, default=None,
                        help="flush when the oldest query waited this many accesses")
@@ -1080,12 +940,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec = sub.add_parser(
         "record", help="capture a live serving session into a replayable trace"
     )
-    p_rec.add_argument("--workload", default="462.libquantum")
-    p_rec.add_argument("--trace", default=None, help="trace file (.npz/.csv/.txt[.gz])")
-    p_rec.add_argument("--scale", type=float, default=0.05)
-    p_rec.add_argument("--seed", type=int, default=2)
-    p_rec.add_argument("--prefetcher", choices=PREFETCHER_CHOICES, default="dart")
-    p_rec.add_argument("--tables", default=None, help="tables .npz for --prefetcher dart")
+    _add_trace_args(p_rec, scale=0.05, seed=2)
+    _add_prefetcher_args(p_rec, "dart")
     p_rec.add_argument("--workers", type=int, default=2)
     p_rec.add_argument("--streams", type=int, default=2,
                        help="trace shards served as concurrent streams")
@@ -1119,12 +975,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_hier = sub.add_parser(
         "hierarchy", help="full L1D/L2/LLC + banked-DRAM simulation"
     )
-    p_hier.add_argument("--workload", default="462.libquantum")
-    p_hier.add_argument("--trace", default=None)
-    p_hier.add_argument("--scale", type=float, default=0.1)
-    p_hier.add_argument("--seed", type=int, default=2)
-    p_hier.add_argument("--prefetcher", choices=PREFETCHER_CHOICES, default="bo")
-    p_hier.add_argument("--tables", default=None)
+    _add_trace_args(p_hier, scale=0.1, seed=2)
+    _add_prefetcher_args(p_hier, "bo", tables_help=None)
     p_hier.add_argument("--no-paging", action="store_true", help="skip virtual->physical")
     p_hier.add_argument("--tlb", action="store_true", help="model a 64-entry data TLB")
     p_hier.set_defaults(func=_cmd_hierarchy)
@@ -1133,8 +985,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("workloads", nargs="+", help="one workload name per core")
     p_mc.add_argument("--scale", type=float, default=0.05)
     p_mc.add_argument("--seed", type=int, default=2)
-    p_mc.add_argument("--prefetcher", choices=PREFETCHER_CHOICES, default="none")
-    p_mc.add_argument("--tables", default=None, help="tables .npz for --prefetcher dart")
+    _add_prefetcher_args(p_mc, "none")
     p_mc.add_argument("--share-model", action="store_true",
                       help="serve all cores from one shared model "
                            "(cross-core micro-batching; model-backed only)")
@@ -1148,8 +999,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("workloads", nargs="+", help="one workload name per tenant")
     p_con.add_argument("--scale", type=float, default=0.02)
     p_con.add_argument("--seed", type=int, default=2)
-    p_con.add_argument("--prefetcher", choices=PREFETCHER_CHOICES, default="stride")
-    p_con.add_argument("--tables", default=None, help="tables .npz for --prefetcher dart")
+    _add_prefetcher_args(p_con, "stride")
     p_con.add_argument("--poison", type=int, action="append", metavar="TENANT",
                        help="garble this tenant's predictions (repeatable)")
     p_con.add_argument("--poison-degree", type=int, default=8)
@@ -1169,10 +1019,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.set_defaults(func=_cmd_contend)
 
     p_an = sub.add_parser("analyze", help="trace statistics + OPT replacement headroom")
-    p_an.add_argument("--workload", default="462.libquantum")
-    p_an.add_argument("--trace", default=None)
-    p_an.add_argument("--scale", type=float, default=0.05)
-    p_an.add_argument("--seed", type=int, default=0)
+    _add_trace_args(p_an, scale=0.05, seed=0)
     p_an.set_defaults(func=_cmd_analyze)
 
     p_exp = sub.add_parser("export", help="pack trained tables into a binary blob")

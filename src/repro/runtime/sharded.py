@@ -557,6 +557,10 @@ class ShardedEngine:
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
+        if batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if max_wait is not None and max_wait < 1:
+            raise ValueError("max_wait must be >= 1 (or None)")
         if io_chunk < 1 or serve_chunk < 1:
             raise ValueError("io_chunk / serve_chunk must be >= 1")
         if reply_timeout <= 0 or poll_interval <= 0 or drain_poll_interval <= 0:

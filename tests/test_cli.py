@@ -5,7 +5,7 @@ import pytest
 
 from repro.cli import main
 from repro.tabularization import save_tabular_model
-from repro.traces import MemoryTrace
+from repro.traces import MemoryTrace, save_csv, save_text
 
 
 def test_trace_subcommand(tmp_path, capsys):
@@ -40,11 +40,22 @@ def test_simulate_rule_based(capsys, tmp_path):
     assert "baseline" in out and "NextLine" in out
 
 
-def test_simulate_from_saved_trace(tmp_path, capsys):
-    trace_path = tmp_path / "trace.npz"
-    main(["trace", "619.lbm", "--scale", "0.01", "-o", str(trace_path)])
+@pytest.mark.parametrize("ext", ["npz", "csv", "txt"])
+def test_simulate_from_saved_trace(ext, tmp_path, capsys):
+    """Every ``--trace`` reads the same formats as ``stream``'s loader."""
+    npz = tmp_path / "trace.npz"
+    main(["trace", "619.lbm", "--scale", "0.01", "-o", str(npz)])
+    trace = MemoryTrace.load(npz)
+    trace_path = tmp_path / f"trace.{ext}"
+    writer = {"csv": save_csv, "txt": save_text}.get(ext)
+    if writer is not None:
+        writer(trace, trace_path)
+    capsys.readouterr()
     rc = main(["simulate", "--trace", str(trace_path), "--prefetcher", "stride"])
     assert rc == 0
+    assert f"({len(trace):,} accesses)" in capsys.readouterr().out
+    assert main(["analyze", "--trace", str(trace_path)]) == 0
+    assert "OPT miss rate" in capsys.readouterr().out
 
 
 def test_simulate_dart_requires_tables():
@@ -111,6 +122,8 @@ def test_stream_cores_serves_interleaved_shards(tmp_path, capsys):
     assert record["cores"] == 3 and record["share_model"] is False
     assert record["identical_to_batch"] is True
     assert len(record["per_stream"]) == 3
+    names = [s["name"] for s in record["per_stream"]]
+    assert names == ["BO[0]", "BO[1]", "BO[2]"]
     assert record["aggregate"]["accesses"] == sum(
         s["accesses"] for s in record["per_stream"]
     )
@@ -179,6 +192,10 @@ def test_stream_workers_flag_validation():
     with pytest.raises(SystemExit):  # sharding already shares the model
         main(["stream", "--workers", "2", "--cores", "2", "--share-model",
               "--prefetcher", "dart", "--scale", "0.01"])
+    # record checks its fleet knobs with the same messages, before any load.
+    for flag in ("--streams", "--workers", "--batch-size"):
+        with pytest.raises(SystemExit, match=f"{flag} must be >= 1"):
+            main(["record", flag, "0", "-o", "unused.darttrc"])
 
 
 def test_stream_share_model_requires_model_backed():

@@ -237,6 +237,11 @@ def test_failed_publish_keeps_live_segment_tracked(dart):
 def test_registration_and_validation_errors(dart, eight_traces):
     with pytest.raises(ValueError):
         dart.sharded(workers=0)
+    # Refused in the frontend, before any worker boots on a bad knob.
+    with pytest.raises(ValueError, match="batch_size must be >= 1"):
+        dart.sharded(workers=2, batch_size=0)
+    with pytest.raises(ValueError, match="max_wait must be >= 1"):
+        dart.sharded(workers=2, max_wait=0)
     with dart.sharded(workers=2) as engine:
         with pytest.raises(ValueError):
             engine.streams(2, names=["only-one"])
