@@ -120,7 +120,7 @@ def run(accesses: int, student_samples: int, table_samples: int, epochs: int,
     adaptive_lists = serve_collect(adaptive_stream, trace)
     adaptive = phase_scores(adaptive_lists)
     summary = adaptive_stream.adaptation_summary()
-    engine = adaptive_stream._engine._mb
+    engine = adaptive_stream._engine
 
     acc_a = frozen["phase_a"]["accuracy"]
     acc_b_frozen = frozen["phase_b_tail"]["accuracy"]

@@ -44,7 +44,7 @@ import time
 import numpy as np
 from bench_sharded import build_dart, make_streams
 
-from repro.runtime import StreamingModelPrefetcher, serve
+from repro.runtime import MicroBatcher, serve
 from repro.utils import log
 
 #: migration pause p99 from the committed BENCH_elastic.json.
@@ -83,7 +83,7 @@ def bench_b1(accesses: int, pairs: int, seed: int) -> dict:
         return dart.stream(batch_size=1)
 
     def generic():
-        return StreamingModelPrefetcher(
+        return MicroBatcher(
             generic_predict, dart.config, threshold=dart.threshold,
             max_degree=dart.max_degree, decode=dart.decode, batch_size=1,
         )

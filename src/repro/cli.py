@@ -667,8 +667,8 @@ def _cmd_multicore(args) -> int:
         )
         r = simulate_multicore(traces, config=cfg, shared_prefetcher=shared)
     else:
-        pf = [_make_prefetcher(args.prefetcher, args.tables) for _ in traces]
-        r = simulate_multicore(traces, prefetchers=pf, config=cfg)
+        pf = _make_prefetcher(args.prefetcher, args.tables)
+        r = simulate_multicore(traces, prefetchers=[pf] * len(traces), config=cfg)
     rows = [
         [c.name, f"{c.ipc:.3f}", f"{c.accuracy:.2%}", str(c.prefetches_issued)]
         for c in r.cores
@@ -694,10 +694,9 @@ def _cmd_contend(args) -> int:
         prefetch_level=args.prefetch_level,
     )
 
-    streams = []
-    for _ in traces:
-        pf = _make_prefetcher(args.prefetcher, args.tables)
-        streams.append(None if pf is None else as_streaming(pf))
+    # One load of the prefetcher; as_streaming gives each tenant its own state.
+    pf = _make_prefetcher(args.prefetcher, args.tables)
+    streams = [None if pf is None else as_streaming(pf) for _ in traces]
     for idx in args.poison or []:
         if not 0 <= idx < len(streams) or streams[idx] is None:
             raise SystemExit(f"--poison {idx}: no such prefetching tenant")

@@ -89,9 +89,9 @@ class DARTPrefetcher(Prefetcher):
         successor — optionally advancing ``publish_ref`` — so the adaptation
         lineage is replayable offline.
         """
-        from repro.runtime.microbatch import StreamingModelPrefetcher
+        from repro.runtime.microbatch import MicroBatcher
 
-        engine = StreamingModelPrefetcher(
+        engine = MicroBatcher(
             self.predictor.predict_proba,
             self.config,
             threshold=self.threshold,

@@ -273,9 +273,9 @@ class NeuralPrefetcher(Prefetcher):
         (:func:`~repro.runtime.adaptation.nn_refit`); ``refit`` overrides
         the recipe.
         """
-        from repro.runtime.microbatch import StreamingModelPrefetcher
+        from repro.runtime.microbatch import MicroBatcher
 
-        engine = StreamingModelPrefetcher(
+        engine = MicroBatcher(
             self.model.predict_proba,
             self.config,
             threshold=self.threshold,

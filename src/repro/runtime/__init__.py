@@ -7,9 +7,11 @@ this package serves a *live* access stream with bounded latency and memory:
   and the adapters between the batch and online worlds;
 * :mod:`repro.runtime.microbatch` — micro-batched vectorized serving for the
   learned predictors (DART tables and the NN baselines): per-tenant
-  :class:`StreamState` + shared :class:`_FlushPath`;
-* :mod:`repro.runtime.multistream` — N concurrent streams sharing one model,
-  with cross-stream micro-batching (one predict per flush across streams);
+  :class:`StreamState` + shared :class:`_FlushPath`, and the single-stream
+  engine :class:`MicroBatcher` (a one-stream ``MultiStreamEngine``);
+* :mod:`repro.runtime.multistream` — the one in-process engine: N concurrent
+  streams sharing one model, with cross-stream micro-batching (one predict
+  per flush across streams);
 * :mod:`repro.runtime.sharded` — N streams across W OS worker processes,
   each a ``MultiStreamEngine`` over tables mapped zero-copy from shared
   memory (:mod:`repro.tabularization.shm`); versioned swap broadcast, named
@@ -61,7 +63,6 @@ from repro.runtime.engine import StreamLifecycle, StreamStats, access_pairs, ser
 from repro.runtime.microbatch import (
     MicroBatcher,
     StreamState,
-    StreamingModelPrefetcher,
     snapshot_from_bytes,
     snapshot_to_bytes,
 )
@@ -115,7 +116,6 @@ __all__ = [
     "StreamMonitor",
     "StreamState",
     "StreamStats",
-    "StreamingModelPrefetcher",
     "StreamingPrefetcher",
     "TRACE_MAGIC",
     "access_pairs",

@@ -24,7 +24,8 @@ Three pieces:
   and hot-swaps the serving engine (pause bounded by one flush). Every
   decision is appended to :attr:`AdaptationController.events`.
 * :class:`AdaptiveStream` — a :class:`~repro.runtime.streaming.
-  StreamingPrefetcher` wrapping a micro-batched engine plus a controller;
+  StreamingPrefetcher` wrapping the single-stream engine (a one-stream
+  :class:`~repro.runtime.multistream.MultiStreamEngine`) plus a controller;
   what ``DARTPrefetcher.stream(adapt=...)`` returns. The per-access emission
   invariant is preserved: swap-drained emissions are delivered in order with
   the triggering ingest.
@@ -459,8 +460,10 @@ class AdaptationController:
 class AdaptiveStream(StreamingPrefetcher):
     """A micro-batched engine plus the adaptation loop, as one stream.
 
-    Wraps a :class:`~repro.runtime.microbatch.StreamingModelPrefetcher`:
-    every ingest feeds the engine, then the controller; if the controller
+    Wraps the single-stream engine (a
+    :class:`~repro.runtime.microbatch.MicroBatcher`, a one-stream
+    :class:`~repro.runtime.multistream.MultiStreamEngine`): every ingest
+    feeds the engine, then the controller; if the controller
     swaps, the drained (old-model) emissions ride along in order, so the
     one-emission-per-access invariant survives adaptation. ``reset``
     restores the *initial* model version, making repeated runs (``serve``
@@ -478,7 +481,7 @@ class AdaptiveStream(StreamingPrefetcher):
         publish_ref: str | None = None,
     ):
         self._engine = engine
-        self._initial = artifact if artifact is not None else engine._mb._path._predict
+        self._initial = artifact if artifact is not None else engine._path._predict
         self._initial_artifact = artifact
         self.controller = AdaptationController(
             engine, refit, config, artifact, registry=registry, publish_ref=publish_ref

@@ -262,16 +262,4 @@ def serve(
         if collect:
             lists[em.seq] = list(em.blocks)
     seconds = perf() - t0
-
-    samples = sorted(sketch.samples)
-    stats = StreamStats(
-        name=stream.name,
-        accesses=accesses,
-        prefetches=prefetches,
-        seconds=seconds,
-        p50_us=_percentile(samples, 0.50) * 1e6,
-        p99_us=_percentile(samples, 0.99) * 1e6,
-        mean_us=sketch.mean * 1e6,
-        max_us=sketch.peak * 1e6,
-    )
-    return stats, lists
+    return sketch.to_stats(stream.name, accesses, prefetches, seconds, {}), lists

@@ -28,18 +28,15 @@ bursts. The machinery splits into two halves with different sharing rules:
   :func:`~repro.prefetch.nn_prefetcher.decode_bitmap_probs` — the decode the
   batch path runs. Both are bit-identical to the batch oracle.
 
-:class:`MicroBatcher` composes one ``StreamState`` with a ``_FlushPath``:
-the single-stream engine. A flush fires when ``batch_size`` queries are
-pending, when the oldest pending query has waited ``max_wait`` accesses (the
-deadline that bounds worst-case response time), or on demand
-(:meth:`~MicroBatcher.flush`).
-:class:`~repro.runtime.multistream.MultiStreamEngine` composes N stream
-states with one ``_FlushPath``, coalescing queries across streams so a batch
-fills N× faster and the model is stored once.
-
-:class:`StreamingModelPrefetcher` wraps a micro-batcher in the
-:class:`~repro.runtime.streaming.StreamingPrefetcher` protocol; it is what
-``DARTPrefetcher.stream()`` / ``NeuralPrefetcher.stream()`` return.
+:class:`~repro.runtime.multistream.MultiStreamEngine` is the one in-process
+engine built from them: N stream states over one ``_FlushPath``, coalescing
+queries across streams so a batch fills N× faster and the model is stored
+once. A flush fires when ``batch_size`` queries are pending, when the oldest
+pending query has waited ``max_wait`` accesses of its stream (the deadline
+that bounds worst-case response time), or on demand.
+:class:`MicroBatcher` is that engine with exactly one stream, speaking the
+:class:`~repro.runtime.streaming.StreamingPrefetcher` protocol itself; it is
+what ``DARTPrefetcher.stream()`` / ``NeuralPrefetcher.stream()`` return.
 """
 
 from __future__ import annotations
@@ -50,6 +47,7 @@ import numpy as np
 
 from repro.data.dataset import PreprocessConfig
 from repro.prefetch.nn_prefetcher import SingleRowDecoder, decode_bitmap_probs
+from repro.runtime.multistream import MultiStreamEngine
 from repro.runtime.streaming import Emission, StreamingPrefetcher
 from repro.tabularization.tabular_model import key_view
 from repro.tabularization.transitions import CodeMapCache
@@ -98,8 +96,8 @@ class StreamState:
     ``depth`` is the flush path's batch size ``B``: a window's oldest row must
     survive until its query flushes, and a query can have at most ``B - 1``
     same-stream accesses arrive behind it before the (global) batch is full,
-    so ring capacity ``T + B`` suffices — for the single-stream engine and
-    for a stream sharing a flush path with any number of others.
+    so ring capacity ``T + B`` suffices — for a stream served alone or beside
+    any number of others.
     """
 
     def __init__(self, config: PreprocessConfig, depth: int):
@@ -294,8 +292,8 @@ class _FlushPath:
     def set_predictor(self, predict_proba, version: int | None = None) -> None:
         """Install a new predict callable (the table side of a hot swap).
 
-        Callers must have drained pending queries first — the flush policies
-        do (see ``swap_model``); the gather buffers are geometry-bound and
+        Callers must have drained pending queries first — the engine's
+        ``swap_model`` does; the gather buffers are geometry-bound and
         keep being valid because swaps are refused unless the new model
         matches the engine's preprocessing config.
 
@@ -334,9 +332,8 @@ class _FlushPath:
         """Answer each group's pending seqs in one pass over all groups.
 
         Callers own the pending lists (this method does not clear them). The
-        total query count must not exceed ``batch_size`` — the flush policies
-        (single- and multi-stream) flush as soon as the batch fills, so the
-        bound holds by construction.
+        total query count must not exceed ``batch_size`` — the engine flushes
+        as soon as the batch fills, so the bound holds by construction.
         """
         k = sum(len(pend) for _, pend in groups)
         if k == 0:
@@ -440,206 +437,40 @@ class _FlushPath:
         return lists
 
 
-class MicroBatcher:
-    """Single-stream micro-batching: one :class:`StreamState` + a flush path.
+class MicroBatcher(MultiStreamEngine, StreamingPrefetcher):
+    """The single-stream engine: a :class:`MultiStreamEngine` with exactly one
+    registered stream, speaking the
+    :class:`~repro.runtime.streaming.StreamingPrefetcher` protocol itself.
 
-    Parameters
-    ----------
-    predict_proba:
-        ``predict_proba(x_addr, x_pc, batch_size=...)`` callable (NN or
-        tabular predictor). If it accepts an ``out=`` argument (the tabular
-        model does), the output buffer is preallocated and reused too.
-    config:
-        Preprocessing geometry (history length, segmenter, bitmap size).
-    threshold / max_degree / decode:
-        Decode policy, as in :func:`repro.prefetch.nn_prefetcher.model_prefetch_lists`.
-    batch_size:
-        Maximum pending queries per predict call (``B``).
-    max_wait:
-        Flush when the oldest pending query is this many accesses old
-        (``None`` = only flush on a full batch or an explicit flush).
+    It is what ``DARTPrefetcher.stream()`` / ``NeuralPrefetcher.stream()``
+    return. Every flush rule (the ``batch_size`` / ``max_wait`` trigger, the
+    swap drain, the counters and :meth:`stats`) is the multistream engine's;
+    parameters are :class:`MultiStreamEngine`'s.
     """
 
-    def __init__(
-        self,
-        predict_proba,
-        config: PreprocessConfig,
-        threshold: float = 0.5,
-        max_degree: int = 2,
-        decode: str = "distance",
-        batch_size: int = 64,
-        max_wait: int | None = None,
-    ):
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if max_wait is not None and max_wait < 1:
-            raise ValueError("max_wait must be >= 1 (or None)")
-        self.config = config
-        self.batch_size = int(batch_size)
-        self.max_wait = max_wait
-        self._state = StreamState(config, depth=self.batch_size)
-        predict, version = resolve_predictor(predict_proba, config)
-        self._path = _FlushPath(
-            predict, config, threshold, max_degree, decode, self.batch_size
-        )
-        self._path.model_version = version
-        #: queries the most recent swap had to drain (its pause, in queries)
-        self.last_swap_drained = 0
+    def __init__(self, predict_proba, config: PreprocessConfig, *,
+                 name: str = "model-stream", **knobs):
+        super().__init__(predict_proba, config, name=name, **knobs)
+        self._handle = self.stream(name)
 
-    # ------------------------------------------------------------- introspection
     @property
     def seq(self) -> int:
-        return self._state.seq
-
-    @property
-    def threshold(self) -> float:
-        return self._path.threshold
-
-    @property
-    def max_degree(self) -> int:
-        return self._path.max_degree
-
-    @property
-    def decode(self) -> str:
-        return self._path.decode
-
-    @property
-    def _pending(self) -> list[int]:
-        return self._state.pending
-
-    @property
-    def predict_calls(self) -> int:
-        """Vectorized predict calls issued so far (not reset by :meth:`reset`)."""
-        return self._path.predict_calls
-
-    @property
-    def fast_path_flushes(self) -> int:
-        """Flushes answered by the single-query fast path (k == 1 dispatches)."""
-        return self._path.fast_path_flushes
-
-    @property
-    def swaps(self) -> int:
-        """Model replacements installed since construction."""
-        return self._path.swaps
-
-    @property
-    def model_version(self) -> int | None:
-        """Version of the installed model, when swaps carried artifacts."""
-        return self._path.model_version
-
-    # ---------------------------------------------------------------- serving
-    def swap_model(self, model) -> list[Emission]:
-        """Atomically replace the served tables at a flush boundary.
-
-        The swap is emission-lossless: every pending query is answered by the
-        *outgoing* model in one flush (the entire pause — at most one
-        ``batch_size`` predict call), the new predictor is installed, and the
-        drained emissions are returned so the caller can deliver them in
-        order. ``model`` may be a :class:`~repro.runtime.artifact.
-        ModelArtifact` (its version id is then tracked), a predictor object,
-        or a bare ``predict_proba`` callable; geometry-incompatible models
-        are refused before anything changes.
-        """
-        predict, version = resolve_predictor(model, self.config)
-        drained = self.flush()
-        self.last_swap_drained = len(drained)
-        self._path.set_predictor(predict, version)
-        return drained
-
-    def push(self, pc: int, addr: int) -> list[Emission]:
-        """Featurize one access and return any emissions it completes."""
-        warmup = self._state.push(pc, addr)
-        if warmup is not None:
-            return [warmup]
-        if len(self._state.pending) >= self.batch_size or (
-            # Age of the oldest pending query = accesses that arrived after it.
-            self.max_wait is not None and self._state.oldest_age() >= self.max_wait
-        ):
-            return self.flush()
-        return []
-
-    def flush(self) -> list[Emission]:
-        """Answer all pending queries with one vectorized predict call."""
-        state = self._state
-        if not state.pending:
-            return []
-        (emissions,) = self._path.flush([(state, state.pending)])
-        state.pending.clear()
-        return emissions
-
-    def reset(self) -> None:
-        self._state.reset()
-
-
-class StreamingModelPrefetcher(StreamingPrefetcher):
-    """A learned predictor served online through a :class:`MicroBatcher`."""
-
-    def __init__(
-        self,
-        predict_proba,
-        config: PreprocessConfig,
-        threshold: float = 0.5,
-        max_degree: int = 2,
-        decode: str = "distance",
-        batch_size: int = 64,
-        max_wait: int | None = None,
-        name: str = "model-stream",
-        latency_cycles: int = 0,
-        storage_bytes: float = 0.0,
-    ):
-        self._mb = MicroBatcher(
-            predict_proba,
-            config,
-            threshold=threshold,
-            max_degree=max_degree,
-            decode=decode,
-            batch_size=batch_size,
-            max_wait=max_wait,
-        )
-        self.name = name
-        self.latency_cycles = int(latency_cycles)
-        self.storage_bytes = float(storage_bytes)
-        self.seq = 0
-
-    @property
-    def batch_size(self) -> int:
-        return self._mb.batch_size
+        return self._handle.seq
 
     @property
     def pending(self) -> int:
         """Queries queued but not yet answered."""
-        return len(self._mb._pending)
-
-    @property
-    def predict_calls(self) -> int:
-        """Vectorized predict calls issued so far."""
-        return self._mb.predict_calls
-
-    @property
-    def fast_path_flushes(self) -> int:
-        """Flushes answered by the single-query fast path (k == 1 dispatches)."""
-        return self._mb.fast_path_flushes
-
-    @property
-    def swaps(self) -> int:
-        return self._mb.swaps
-
-    @property
-    def model_version(self) -> int | None:
-        return self._mb.model_version
-
-    def swap_model(self, model) -> list[Emission]:
-        """Hot-swap the served model; returns the drained emissions (in order)."""
-        return self._mb.swap_model(model)
+        return self._handle.pending
 
     def ingest(self, pc: int, addr: int) -> list[Emission]:
-        emissions = self._mb.push(pc, addr)
-        self.seq = self._mb.seq
-        return emissions
+        return self._handle.ingest(pc, addr)
 
     def flush(self) -> list[Emission]:
-        return self._mb.flush()
+        """Answer all pending queries with one vectorized predict call."""
+        return self._handle.flush()
 
-    def reset(self) -> None:
-        self._mb.reset()
-        self.seq = 0
+    def swap_model(self, model) -> list[Emission]:
+        """Hot-swap the served model (see :meth:`MultiStreamEngine.swap_model`);
+        returns the emissions the swap drained, in order."""
+        super().swap_model(model)
+        return self._handle.poll()

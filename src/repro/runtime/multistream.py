@@ -1,9 +1,9 @@
-"""Shared-model serving for N concurrent access streams.
+"""The in-process serving engine: N access streams, one model, one flush path.
 
 ``sim/multicore.py`` models the scenario a deployment actually faces: N
 cores, each with its own access stream, sharing one predictor. Serving each
-stream through its own :class:`~repro.runtime.microbatch.MicroBatcher` works
-but wastes both axes the paper cares about:
+stream through its own engine works but wastes both axes the paper cares
+about:
 
 * **storage** — N engines hold N references (and, naively, N copies) of the
   same table hierarchy;
@@ -20,32 +20,41 @@ into **one** vectorized ``predict_proba`` call per flush across streams. With
 8 streams, a ``B = 64`` batch fills in ~8 accesses per stream instead of 64,
 and the shared predictor is stored once.
 
-Per-stream results are **bit-identical** to serving that stream alone through
-the single-stream path: the predictor is row-local (every table lookup,
-LayerNorm and pooling operates per row, so batch composition cannot change a
-row's answer) and the decode is the shared
-:func:`~repro.prefetch.nn_prefetcher.decode_bitmap_probs`. Only *when* an
-answer arrives changes — which is the point, and which is why latency
-attribution shifts: the access that completes the shared batch pays the
-predict for everyone (see DESIGN.md "Multi-stream serving").
+It is the only in-process engine. The single-stream engine
+(:class:`~repro.runtime.microbatch.MicroBatcher`, what ``stream()`` returns)
+is a ``MultiStreamEngine`` that registers exactly one stream, and every
+sharded worker runs one, so the flush trigger, the swap drain and the
+counters exist once.
+
+Per-stream results are **bit-identical** to serving that stream alone: the
+predictor is row-local (every table lookup, LayerNorm and pooling operates
+per row, so batch composition cannot change a row's answer) and the decode is
+the shared :func:`~repro.prefetch.nn_prefetcher.decode_bitmap_probs`. Only
+*when* an answer arrives changes — which is the point, and which is why
+latency attribution shifts: the access that completes the shared batch pays
+the predict for everyone (see DESIGN.md "Multi-stream serving").
 
 Each registered stream is driven through a :class:`StreamHandle`, a full
 :class:`~repro.runtime.streaming.StreamingPrefetcher`: emissions completed by
 *another* stream's flush wait in the handle's outbox and are delivered on its
 next ``ingest``/``flush``/``poll``, preserving the per-stream emission
 invariant (exactly one emission per access, ascending seq).
+
+``microbatch`` subclasses :class:`MultiStreamEngine`, so this module imports
+its stream state and flush path inside the methods that build them.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.data.dataset import PreprocessConfig
-from repro.runtime.engine import StreamStats, _LatencySketch, _percentile, access_pairs
-from repro.runtime.microbatch import StreamState, _FlushPath, resolve_predictor
+from repro.runtime.engine import StreamStats, _LatencySketch, access_pairs
 from repro.runtime.streaming import Emission, StreamingPrefetcher
+
+if TYPE_CHECKING:
+    from repro.runtime.microbatch import StreamState
 
 
 class StreamHandle(StreamingPrefetcher):
@@ -65,7 +74,7 @@ class StreamHandle(StreamingPrefetcher):
         self.latency_cycles = engine.latency_cycles
         self.storage_bytes = engine.storage_bytes
         self.seq = 0
-        self._outbox: deque[Emission] = deque()
+        self._outbox: list[Emission] = []
 
     @property
     def closed(self) -> bool:
@@ -80,19 +89,21 @@ class StreamHandle(StreamingPrefetcher):
 
     def poll(self) -> list[Emission]:
         """Drain emissions already completed (possibly by other streams' flushes)."""
-        out = list(self._outbox)
-        self._outbox.clear()
+        out = self._outbox
+        if not out:
+            return []
+        self._outbox = []
         # The outbox drain is the single funnel every delivered emission
         # passes through — the one hook point session recording needs.
-        if out and self._engine._recorder is not None:
+        if self._engine._recorder is not None:
             self._engine._recorder.on_emissions(self.index, out)
         return out
 
     def ingest(self, pc: int, addr: int) -> list[Emission]:
-        if self._engine._recorder is not None:
-            self._engine._recorder.on_access(self.index, pc, addr)
-        self._engine._ingest(self, pc, addr)
-        self.seq = self._engine._states[self.index].seq
+        engine = self._engine
+        if engine._recorder is not None:
+            engine._recorder.on_access(self.index, pc, addr)
+        self.seq = engine._ingest(self, pc, addr)
         return self.poll()
 
     def flush(self) -> list[Emission]:
@@ -113,11 +124,26 @@ class StreamHandle(StreamingPrefetcher):
 class MultiStreamEngine:
     """N per-tenant stream states, one shared model, one flush path.
 
-    Parameters mirror :class:`~repro.runtime.microbatch.MicroBatcher`;
-    ``batch_size`` bounds the *total* pending queries across all streams, and
-    ``max_wait`` is measured in each stream's own accesses (same deadline
-    semantics a stream would get served alone — a deadline flush still
-    answers everything pending, keeping one predict call per flush).
+    Parameters
+    ----------
+    predict_proba:
+        ``predict_proba(x_addr, x_pc, batch_size=...)`` callable, a predictor
+        exposing one (NN or tabular), or a
+        :class:`~repro.runtime.artifact.ModelArtifact`. If the callable
+        accepts ``out=`` (the tabular model does), its output buffer is
+        preallocated and reused too.
+    config:
+        Preprocessing geometry (history length, segmenter, bitmap size).
+    threshold / max_degree / decode:
+        Decode policy, as in :func:`repro.prefetch.nn_prefetcher.model_prefetch_lists`.
+    batch_size:
+        Maximum pending queries per predict call (``B``), counted across all
+        streams.
+    max_wait:
+        Flush when a stream's oldest pending query is this many of *that
+        stream's* accesses old (``None`` = only flush on a full batch or an
+        explicit flush). A deadline flush still answers everything pending,
+        keeping one predict call per flush.
 
     Register tenants with :meth:`stream` / :meth:`streams`; drive them
     through the returned :class:`StreamHandle`\\ s.
@@ -146,12 +172,14 @@ class MultiStreamEngine:
         self.name = name
         self.latency_cycles = int(latency_cycles)
         self.storage_bytes = float(storage_bytes)
+        from repro.runtime.microbatch import _FlushPath, resolve_predictor
+
         predict, version = resolve_predictor(predict_proba, config)
         self._path = _FlushPath(
             predict, config, threshold, max_degree, decode, self.batch_size
         )
         self._path.model_version = version
-        self._states: list[StreamState] = []
+        self._states: list[StreamState | None] = []
         self._handles: list[StreamHandle] = []
         self._n_pending = 0
         #: queries the most recent swap had to drain (its pause, in queries)
@@ -162,6 +190,8 @@ class MultiStreamEngine:
     # ------------------------------------------------------------ registration
     def stream(self, name: str | None = None) -> StreamHandle:
         """Register a new tenant stream; returns its handle."""
+        from repro.runtime.microbatch import StreamState
+
         index = len(self._states)
         self._states.append(StreamState(self.config, depth=self.batch_size))
         handle = StreamHandle(self, index, name or f"{self.name}[{index}]")
@@ -182,14 +212,16 @@ class MultiStreamEngine:
         return sum(1 for s in self._states if s is not None)
 
     # ----------------------------------------------------------------- serving
-    def _ingest(self, handle: StreamHandle, pc: int, addr: int) -> None:
+    def _ingest(self, handle: StreamHandle, pc: int, addr: int) -> int:
+        """Featurize one access of ``handle``'s stream, flush if the batch
+        is full or its deadline passed; returns the stream's new clock."""
         state = self._states[handle.index]
         if state is None:
             raise ValueError(f"stream {handle.name!r} is closed")
         warmup = state.push(pc, addr)
         if warmup is not None:
             handle._outbox.append(warmup)
-            return
+            return state.seq
         self._n_pending += 1
         # Only the ingesting stream's own clock advanced, so only its oldest
         # pending query aged — the deadline check stays O(1) per access.
@@ -197,38 +229,44 @@ class MultiStreamEngine:
             self.max_wait is not None and state.oldest_age() >= self.max_wait
         ):
             self.flush_all()
+        return state.seq
 
     def flush_all(self) -> None:
         """Answer everything pending, across all streams.
 
-        Normally one coalesced predict ≤ ``batch_size`` (the flush policies
-        fire before the bound is crossed), but an :meth:`import_stream`
+        Normally one coalesced predict ≤ ``batch_size`` (the flush trigger
+        fires before the bound is crossed), but an :meth:`import_stream`
         rehydration can legally land *on top of* an already-loaded engine —
         the combined backlog then drains in ``batch_size``-bounded chunks,
         preserving each stream's pending order (chunking cannot change an
-        answer: the predictor is row-local).
+        answer: the predictor is row-local). Each chunk walks the stream
+        list only until its budget is spent.
         """
-        while True:
-            budget = self.batch_size
-            groups: list[tuple[int, StreamState, list[int]]] = []
-            for i, state in enumerate(self._states):
+        left = self._n_pending
+        while left > 0:
+            chunk = budget = min(self.batch_size, left)
+            groups: list[tuple[StreamState, list[int]]] = []
+            owners: list[StreamHandle] = []
+            for handle, state in zip(self._handles, self._states):
                 if state is None or not state.pending:
                     continue
-                take = min(budget, len(state.pending))
-                pend = state.pending if take == len(state.pending) else state.pending[:take]
-                groups.append((i, state, pend))
-                budget -= take
+                pend = state.pending
+                if len(pend) > budget:
+                    pend = pend[:budget]
+                groups.append((state, pend))
+                owners.append(handle)
+                budget -= len(pend)
                 if budget == 0:
                     break
-            if not groups:
-                break
-            results = self._path.flush([(state, pend) for _, state, pend in groups])
-            for (i, state, pend), emissions in zip(groups, results):
-                self._handles[i]._outbox.extend(emissions)
+            for handle, (state, pend), emissions in zip(
+                owners, groups, self._path.flush(groups)
+            ):
+                handle._outbox += emissions
                 if pend is state.pending:
                     state.pending.clear()
                 else:
                     del state.pending[: len(pend)]
+            left -= chunk
         self._n_pending = 0
 
     # --------------------------------------------------------------- lifecycle
@@ -292,6 +330,8 @@ class MultiStreamEngine:
         snapshot's — enforced by the thaw. The imported pending queue joins
         this engine's backlog and is answered on the next flush, in order.
         """
+        from repro.runtime.microbatch import StreamState
+
         state = StreamState.thaw(self.config, self.batch_size, snapshot)
         index = len(self._states)
         self._states.append(state)
@@ -314,6 +354,8 @@ class MultiStreamEngine:
         or a ``predict_proba`` callable; geometry mismatches are refused
         before the drain.
         """
+        from repro.runtime.microbatch import resolve_predictor
+
         predict, version = resolve_predictor(model, self.config)
         pending = self._n_pending
         self.flush_all()
@@ -460,24 +502,12 @@ def serve_interleaved(
     seconds = perf() - t0
 
     def _stats(name: str, sketch: _LatencySketch, acc: int, pf: int, extra: dict) -> StreamStats:
-        samples = sorted(sketch.samples)
         # latency_count pins the aggregation invariant: every timed delivery
         # contributes exactly one sample to its stream's sketch and one to the
         # aggregate, so aggregate count == sum of per-stream counts (the drain
         # flush included, even when all streams end on the same tick) — see
         # the regression test in tests/test_multistream.py.
-        extra = {**extra, "latency_count": sketch.count}
-        return StreamStats(
-            name=name,
-            accesses=acc,
-            prefetches=pf,
-            seconds=seconds,
-            p50_us=_percentile(samples, 0.50) * 1e6,
-            p99_us=_percentile(samples, 0.99) * 1e6,
-            mean_us=sketch.mean * 1e6,
-            max_us=sketch.peak * 1e6,
-            extra=extra,
-        )
+        return sketch.to_stats(name, acc, pf, seconds, {**extra, "latency_count": sketch.count})
 
     per_stream = [
         _stats(streams[i].name, sketches[i], accesses[i], prefetches[i], {"stream": i})

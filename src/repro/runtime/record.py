@@ -226,10 +226,7 @@ class SessionRecorder:
                 "decode": ek["decode"],
                 "io_chunk": engine.io_chunk,
             }
-            self._timing = {
-                "reply_timeout": engine.reply_timeout,
-                "poll_interval": engine.poll_interval,
-            }
+            self._timing = {"reply_timeout": engine.reply_timeout}
             self._preprocess = _preprocess_meta(engine.config)
             existing = [
                 (h, self._shard_of(engine, h)) for h in engine._handles

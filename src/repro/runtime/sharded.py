@@ -518,11 +518,11 @@ class ShardedEngine:
     any reply, parking in a select across the pipes. Every control-plane
     send first commits the outstanding reply.
 
-    ``reply_timeout`` / ``poll_interval`` govern :meth:`_recv`'s wait for a
-    worker reply (total deadline, and the death-probe granularity while
-    waiting); ``drain_poll_interval`` is the short-path granularity used
-    during drain barriers (flush, swap, close, freeze), where replies are
-    expected promptly and a dead worker should be detected fast.
+    ``reply_timeout`` is the total deadline of every wait for a worker
+    reply; ``drain_poll_interval`` is how often such a wait wakes to probe
+    the worker for death (the wait itself returns the moment data lands), so
+    a worker that dies mid-wait is caught within one interval. Workers start
+    with ``fork`` where the platform has it, else ``spawn``.
 
     ``chaos_reply_delay=(max_s, seed)`` injects a seeded random sleep before
     every data-plane reply in each worker — the fault-injection hook the
@@ -546,12 +546,10 @@ class ShardedEngine:
         io_chunk: int = 256,
         serve_chunk: int = 2048,
         name: str = "sharded",
-        start_method: str | None = None,
         measure: bool = True,
         latency_cycles: int = 0,
         storage_bytes: float = 0.0,
         reply_timeout: float = 60.0,
-        poll_interval: float = 0.05,
         drain_poll_interval: float = 0.005,
         chaos_reply_delay: tuple | None = None,
     ):
@@ -563,8 +561,8 @@ class ShardedEngine:
             raise ValueError("max_wait must be >= 1 (or None)")
         if io_chunk < 1 or serve_chunk < 1:
             raise ValueError("io_chunk / serve_chunk must be >= 1")
-        if reply_timeout <= 0 or poll_interval <= 0 or drain_poll_interval <= 0:
-            raise ValueError("reply_timeout / poll intervals must be > 0")
+        if reply_timeout <= 0 or drain_poll_interval <= 0:
+            raise ValueError("reply_timeout / drain_poll_interval must be > 0")
         # Validate geometry + capture the artifact version before any process
         # or segment exists (same refusal point as the in-process engines).
         _, version = resolve_predictor(model, config)
@@ -587,15 +585,12 @@ class ShardedEngine:
         self.max_wait = max_wait
         self._measure = bool(measure)
         self.reply_timeout = float(reply_timeout)
-        self.poll_interval = float(poll_interval)
         self.drain_poll_interval = float(drain_poll_interval)
         self._chaos_reply_delay = chaos_reply_delay
         import multiprocessing as mp
 
-        if start_method is None:
-            start_method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-        self._ctx = mp.get_context(start_method)
-        self.start_method = start_method
+        self.start_method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+        self._ctx = mp.get_context(self.start_method)
         self._publications: list = []  # SharedTables this engine owns
         self._spec_cache: list = []  # (weakref(model), spec, version) of live pubs
         self._model_spec = self._publish_cached(model, version)
@@ -826,20 +821,17 @@ class ShardedEngine:
         except (BrokenPipeError, OSError) as exc:
             self._fail(shard, f"pipe send failed: {exc!r}")
 
-    def _recv(self, shard: _Shard, timeout: float | None = None,
-              poll_interval: float | None = None):
+    def _recv(self, shard: _Shard, timeout: float | None = None):
         """Receive one reply; never hangs on a dead worker.
 
-        ``timeout`` defaults to the engine's ``reply_timeout``;
-        ``poll_interval`` is how often the wait wakes to probe the worker
-        process for death (the poll itself returns the moment data lands).
-        Drain barriers pass the engine's short ``drain_poll_interval`` so a
-        worker dying mid-drain is caught promptly.
+        ``timeout`` defaults to the engine's ``reply_timeout``; the wait
+        wakes every ``drain_poll_interval`` to probe the worker process for
+        death (the poll itself returns the moment data lands).
         """
         conn = shard.conn
         if timeout is None:
             timeout = self.reply_timeout
-        interval = self.poll_interval if poll_interval is None else poll_interval
+        interval = self.drain_poll_interval
         deadline = time.monotonic() + timeout
         while True:
             try:
@@ -867,9 +859,8 @@ class ShardedEngine:
                        opcode=meta)
         return op, meta, msg[_HDR.size :]
 
-    def _expect(self, shard: _Shard, want_op: int,
-                poll_interval: float | None = None):
-        op, meta, payload = self._recv(shard, poll_interval=poll_interval)
+    def _expect(self, shard: _Shard, want_op: int):
+        op, meta, payload = self._recv(shard)
         if op != want_op:
             self._fail(shard, f"protocol error: got opcode {op}, wanted {want_op}")
         return meta, payload
@@ -899,9 +890,7 @@ class ShardedEngine:
         """Commit the outstanding reply (blocks until it arrives)."""
         if ready is None:
             ready = self._data_ready(shard)
-        op, meta, payload = self._recv(
-            shard, poll_interval=self.drain_poll_interval
-        )
+        op, meta, payload = self._recv(shard)
         if op != REPLY_EMISSIONS:
             self._fail(
                 shard, f"protocol error: got opcode {op}, wanted {REPLY_EMISSIONS}"
@@ -1075,8 +1064,7 @@ class ShardedEngine:
             self.start()
         self._dispatch(shard)
         self._send(shard, OP_CLOSE, handle.local_index)
-        _, payload = self._expect(shard, REPLY_EMISSIONS,
-                                  poll_interval=self.drain_poll_interval)
+        _, payload = self._expect(shard, REPLY_EMISSIONS)
         self._route(shard, payload)
         shard.handles[handle.local_index] = None
         handle.closed = True
@@ -1113,11 +1101,9 @@ class ShardedEngine:
         # freeze — the snapshot is only complete after the buffered rows land.
         self._dispatch(source)
         self._send(source, OP_FREEZE, handle.local_index)
-        _, payload = self._expect(source, REPLY_EMISSIONS,
-                                  poll_interval=self.drain_poll_interval)
+        _, payload = self._expect(source, REPLY_EMISSIONS)
         self._route(source, payload)
-        carried, body = self._expect(source, REPLY_SNAPSHOT,
-                                     poll_interval=self.drain_poll_interval)
+        carried, body = self._expect(source, REPLY_SNAPSHOT)
         source.handles[handle.local_index] = None
         try:
             self._send(target, OP_THAW, 0, bytes(body))
@@ -1237,7 +1223,7 @@ class ShardedEngine:
                 pub.close()
                 pub.unlink()
 
-    def swap_model(self, model, workers=None) -> None:
+    def swap_model(self, model, workers=None) -> dict:
         """Zero-downtime model replacement, broadcast to a cohort of shards.
 
         ``workers=None`` (the default) swaps the whole fleet; a list of
@@ -1265,6 +1251,9 @@ class ShardedEngine:
         growth spawns on it). Emissions drained by the swap are delivered to
         their handles' outboxes; a no-op swap is bit-identical to never
         swapping.
+
+        Returns a record: ``{workers, version, drained}`` (the swapped worker
+        ids, the installed version, the queries the barrier drained).
         """
         _, version = resolve_predictor(model, self.config)
         if workers is None:
@@ -1290,7 +1279,8 @@ class ShardedEngine:
                 self._retire_unreferenced()
                 if self._recorder is not None:
                     self._recorder.on_swap(model)
-                return
+                return {"workers": [s.id for s in targets], "version": version,
+                        "drained": 0}
         for shard in targets:
             self._dispatch(shard)
         # The outgoing generations stay tracked until the new one is safely
@@ -1317,8 +1307,7 @@ class ShardedEngine:
         drained = 0
         for shard in sent:  # barrier: every surviving targeted worker swapped
             try:
-                d, body = self._expect(shard, REPLY_EMISSIONS,
-                                       poll_interval=self.drain_poll_interval)
+                d, body = self._expect(shard, REPLY_EMISSIONS)
                 drained += int(d)
                 self._route(shard, body)
             except ShardFailure as exc:
@@ -1340,6 +1329,8 @@ class ShardedEngine:
             )
         if failures:
             raise failures[0]
+        return {"workers": [s.id for s in targets], "version": version,
+                "drained": drained}
 
     @property
     def swaps(self) -> int:
@@ -1423,20 +1414,25 @@ class ShardedEngine:
         """
         if not self._started:
             self.start()
-        per_worker = self._worker_stats()
-        out: list[StreamStats] = []
-        for shard, wstats in zip(self._shards, per_worker):
+        out = [stats for _, _, stats in self._live_stream_stats(0.0)]
+        out.sort(key=lambda s: s.extra["stream"])
+        return out
+
+    def _live_stream_stats(self, seconds: float) -> list[tuple]:
+        """``(handle, sketch state, StreamStats)`` per live stream, worker by
+        worker, with ``seconds`` as each stream's wall clock."""
+        out = []
+        for shard, wstats in zip(self._shards, self._worker_stats()):
             for h, s in zip(shard.handles, wstats["streams"]):
                 if h is None or h.closed or s is None:
                     continue
                 sk = _LatencySketch.merge([s["sketch"]])
-                out.append(sk.to_stats(
-                    h.name, s["accesses"], s["prefetches"], 0.0,
+                out.append((h, s["sketch"], sk.to_stats(
+                    h.name, s["accesses"], s["prefetches"], seconds,
                     {"stream": h.index, "shard": shard.id,
                      "latency_count": sk.count,
                      **h.lifecycle.to_dict()},
-                ))
-        out.sort(key=lambda s: s.extra["stream"])
+                )))
         return out
 
     # ------------------------------------------------------------- serve loop
@@ -1573,22 +1569,11 @@ class ShardedEngine:
         consume_outboxes()
         seconds = time.perf_counter() - t0
 
-        per_worker = self._worker_stats()
+        rows = self._live_stream_stats(seconds)
         per_stream: list[StreamStats] = [None] * len(live)  # type: ignore
-        sketch_states = []
-        for shard, wstats in zip(self._shards, per_worker):
-            for h, s in zip(shard.handles, wstats["streams"]):
-                if h is None or h.closed or s is None:
-                    continue
-                sk = _LatencySketch.merge([s["sketch"]])
-                sketch_states.append(s["sketch"])
-                per_stream[pos[h.index]] = sk.to_stats(
-                    h.name, s["accesses"], s["prefetches"], seconds,
-                    {"stream": h.index, "shard": shard.id,
-                     "latency_count": sk.count,
-                     **h.lifecycle.to_dict()},
-                )
-        agg_sketch = _LatencySketch.merge(sketch_states)
+        for h, _, stats in rows:
+            per_stream[pos[h.index]] = stats
+        agg_sketch = _LatencySketch.merge([state for _, state, _ in rows])
         aggregate = agg_sketch.to_stats(
             f"{self.n_streams}-stream/{self.workers}-worker",
             sum(s.accesses for s in per_stream),

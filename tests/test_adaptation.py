@@ -196,7 +196,7 @@ def test_adaptive_stream_recovers_after_phase_shift(shift_setup):
         f"adaptive {a_b:.3f}, pre-shift {f_a:.3f})"
     )
     # swap pause bounded by one flush
-    assert stream._engine._mb.last_swap_drained <= 32
+    assert stream._engine.last_swap_drained <= 32
     summary = stream.adaptation_summary()
     assert summary["events"][-1]["outcome"] == "swapped"
     assert summary["version"] == stream.model_version

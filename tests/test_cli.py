@@ -178,6 +178,11 @@ def test_stream_churn_elastic_scenario(tabular_student, tmp_path, capsys):
     assert record["identical_to_batch"] is True
     ops = [e["op"] for e in record["events"]]
     assert {"open", "migrate", "rescale", "swap"} <= set(ops)
+    (swap,) = [e["info"] for e in record["events"] if e["op"] == "swap"]
+    assert swap["workers"] == [0, 1, 2] and swap["version"] == 2
+    assert swap["drained"] >= 0
+    (row,) = [line for line in text.splitlines() if "| swap " in line]
+    assert '"version": 2' in row  # the table prints the record, not "-"
     assert record["engine"]["elastic"]["opened"] == record["engine"]["elastic"]["closed"] == 3
     assert record["engine"]["swaps"] == 1
 
@@ -245,6 +250,27 @@ def test_contend_subcommand_writes_summary(tmp_path, capsys):
     assert summary["throttle"]  # the controller's per-tenant summaries
     # Tenant 0 wears the poison marker in the table.
     assert "0: 462.libquantum*" in text
+
+
+@pytest.mark.parametrize("cmd", ["multicore", "contend"])
+def test_tenant_commands_read_the_tables_once(cmd, tabular_student, tmp_path, monkeypatch):
+    from repro.runtime import ModelArtifact
+
+    tab, _ = tabular_student
+    tables = tmp_path / "tables.npz"
+    save_tabular_model(tab, tables)
+    loads = []
+    load = ModelArtifact.load.__func__
+
+    def counting(cls, path):
+        loads.append(path)
+        return load(cls, path)
+
+    monkeypatch.setattr(ModelArtifact, "load", classmethod(counting))
+    rc = main([cmd, *["462.libquantum"] * 4, "--scale", "0.004",
+               "--prefetcher", "dart", "--tables", str(tables)])
+    assert rc == 0
+    assert loads == [str(tables)]
 
 
 def test_contend_poison_requires_prefetching_tenant():

@@ -198,8 +198,8 @@ def test_mixed_k1_and_batched_flushes():
     rng = np.random.default_rng(0)
     got: dict[int, list[int]] = {}
     for pc, addr in zip(trace.pcs, trace.addrs):
-        emissions = mb.push(int(pc), int(addr))
-        if mb._pending and rng.random() < 0.3:
+        emissions = mb.ingest(int(pc), int(addr))
+        if mb.pending and rng.random() < 0.3:
             emissions += mb.flush()
         for em in emissions:
             got[em.seq] = list(em.blocks)
@@ -252,7 +252,7 @@ def test_bounds_clear_when_full(monkeypatch):
     m = model.input_map()
     assert m.cap == 4 and len(m.ids) <= cap
     assert sum(clears) > 1, "the map was never cleared"
-    _, memo = stream._mb._path._emissions._entry
+    _, memo = stream._path._emissions._entry
     assert 0 < len(memo) <= 4
     _assert_query1_bitwise(model, trace)
 

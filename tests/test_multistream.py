@@ -96,7 +96,7 @@ def test_shared_batching_halves_predict_calls(dart, four_traces):
     assert shared_calls > 0
     assert solo_calls >= 2 * shared_calls, (solo_calls, shared_calls)
     # Same questions answered either way.
-    assert engine.queries_answered == sum(s._mb._path.queries_answered for s in solos)
+    assert engine.queries_answered == sum(s.queries_answered for s in solos)
 
 
 def test_mean_batch_fill_grows_with_streams(dart, four_traces):

@@ -150,6 +150,18 @@ def test_sharded_trace_round_trips_through_disk(dart, churn_traces, tmp_path):
     assert report.accesses == trace.summary()["accesses"]
 
 
+def test_trace_carrying_poll_interval_still_replays(dart, churn_traces):
+    """Recorders once also wrote ``timing.poll_interval``; such a trace
+    still decodes and replays on its recorded column."""
+    trace = record_sharded_churn(dart, churn_traces)
+    assert set(trace.meta["timing"]) == {"reply_timeout"}
+    trace.meta["timing"]["poll_interval"] = 0.05
+    old = SessionTrace.from_bytes(trace.to_bytes())
+    report = replay(old)
+    assert report.column == "sharded"
+    assert report.emissions == trace.summary()["emissions"]
+
+
 def test_mutated_emission_fails_bit_identity(dart, churn_traces):
     trace = record_sharded_churn(dart, churn_traces)
     emit_rows = np.flatnonzero(

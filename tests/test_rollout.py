@@ -215,7 +215,7 @@ def test_partial_swap_converges_and_retires_segments(dart, libquantum_traces):
         engine.streams(2)
         engine.start()
         assert len(engine._publications) == 1
-        engine.swap_model(candidate, workers=[0])
+        assert engine.swap_model(candidate, workers=[0])["workers"] == [0]
         assert len(engine._publications) == 2
         assert engine.stats()["worker_versions"] == [2, 1]
         engine.swap_model(candidate, workers=[1])

@@ -1,8 +1,9 @@
 """The one serving-conformance oracle: every engine vs. batch, one matrix.
 
-Every serving path this repo has grown — synchronous ``stream()``,
-micro-batched ``MicroBatcher``, shared-model ``MultiStreamEngine``,
-multi-process ``ShardedEngine`` — promises the same thing: per-stream
+Every serving path this repo has grown — ``stream()`` (synchronous for the
+rule-based prefetchers, the one-stream ``MicroBatcher`` for the learned
+ones), shared-model ``MultiStreamEngine``, multi-process ``ShardedEngine``
+— promises the same thing: per-stream
 emissions **bit-identical** to the batch ``prefetch_lists`` oracle. Earlier
 PRs each pinned their own engine with ad-hoc tests; this suite is the single
 parametrized matrix ({DART, NN, 2 rule-based} x {B=1, B=32} x engine) every
@@ -27,7 +28,7 @@ from repro.prefetch import (
     NeuralPrefetcher,
     StreamPrefetcher,
 )
-from repro.runtime import MicroBatcher, ModelArtifact, as_streaming
+from repro.runtime import ModelArtifact, as_streaming
 
 # The two mid-trace churn columns pin the elastic engine to the same oracle:
 # ElasticSharded with a rescale (grow then shrink) or a migration (there and
@@ -35,7 +36,6 @@ from repro.runtime import MicroBatcher, ModelArtifact, as_streaming
 # engines — elastic or not — plug in here instead of growing ad-hoc tests.
 ENGINES = [
     "stream",
-    "microbatcher",
     "multistream",
     "sharded",
     "elastic-rescale",
@@ -136,20 +136,6 @@ def test_engine_matches_batch_oracle(
             # B=1 DART must actually serve through the single-query fast path
             # (which the equality above pins bit-identical to the oracle).
             assert stream.fast_path_flushes > 0
-    elif engine == "microbatcher":
-        model = pf.predictor if kind == "dart" else pf.model
-        mb = MicroBatcher(
-            model.predict_proba, pf.config,
-            threshold=pf.threshold, max_degree=pf.max_degree, decode=pf.decode,
-            batch_size=batch_size,
-        )
-
-        class _AsStream:  # MicroBatcher speaks push/flush, not ingest/flush
-            ingest = staticmethod(mb.push)
-            flush = staticmethod(mb.flush)
-
-        got = drive(_AsStream, conformance_traces[0])
-        assert got == oracles[kind][0]
     elif engine == "multistream":
         ms = pf.multistream(batch_size=batch_size)
         handles = ms.streams(2)

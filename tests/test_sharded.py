@@ -67,7 +67,9 @@ def test_sharded_swap_broadcast_mid_stream(dart, eight_traces, reference_lists, 
                         collected[h.index][em.seq] = list(em.blocks)
 
         pump(0, LEN // 2)
-        engine.swap_model(artifact.successor(artifact.model, reason="rotate"))
+        record = engine.swap_model(artifact.successor(artifact.model, reason="rotate"))
+        assert record == {"workers": list(range(workers)), "version": 2,
+                          "drained": engine.last_swap_drained}
         assert engine.swaps == 1
         assert engine.model_version == 2
         pump(LEN // 2, LEN)
@@ -79,6 +81,16 @@ def test_sharded_swap_broadcast_mid_stream(dart, eight_traces, reference_lists, 
         assert collected[i] == reference_lists[i], (
             f"stream {i} diverged across the swap at W={workers}"
         )
+
+
+def test_swap_before_start_returns_its_record(dart):
+    engine = dart.sharded(workers=2)
+    try:
+        record = engine.swap_model(
+            dart.artifact.successor(dart.artifact.model, reason="boot"))
+        assert record == {"workers": [0, 1], "version": 2, "drained": 0}
+    finally:
+        engine.close()
 
 
 def test_shard_handle_is_a_streaming_prefetcher(dart, eight_traces):

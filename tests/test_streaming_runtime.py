@@ -26,7 +26,6 @@ from repro.runtime import (
     BatchAdapter,
     Emission,
     MicroBatcher,
-    StreamingModelPrefetcher,
     StreamingPrefetcher,
     as_streaming,
     serve,
@@ -172,7 +171,7 @@ def test_dart_stream_reuses_prediction_buffers(small_trace, dart):
         calls.append(x_addr.shape[0])
         return inner(x_addr, x_pc, batch_size=batch_size, out=out)
 
-    stream = StreamingModelPrefetcher(
+    stream = MicroBatcher(
         counting, dart.config, threshold=dart.threshold,
         max_degree=dart.max_degree, batch_size=32,
     )
@@ -183,6 +182,10 @@ def test_dart_stream_reuses_prediction_buffers(small_trace, dart):
     t = dart.config.history_len
     assert sum(calls) == 200 - (t - 1)  # every access with history queried once
     assert all(c <= 32 for c in calls)
+    # The single-stream engine keeps the multistream engine's scorecard.
+    stats = stream.stats()
+    assert stats["streams"] == 1 and stats["predict_calls"] == len(calls)
+    assert stats["queries_answered"] == sum(calls)
 
 
 # ----------------------------------------------------------- protocol details
@@ -218,18 +221,18 @@ def test_microbatcher_reset_is_bit_identical_to_fresh(small_trace, dart):
     mb = MicroBatcher(dart.predictor.predict_proba, dart.config, **kwargs)
     pcs, addrs = small_trace.pcs, small_trace.addrs
     for i in range(137):  # odd count: leaves queries pending and rings dirty
-        mb.push(int(pcs[i]), int(addrs[i]))
-    assert mb._pending
+        mb.ingest(int(pcs[i]), int(addrs[i]))
+    assert mb.pending
     mb.reset()
-    assert mb.seq == 0 and not mb._pending
-    state = mb._state
+    assert mb.seq == 0 and not mb.pending
+    (state,) = mb._states
     assert not state.addr_ring.any() and not state.pc_ring.any()
     assert not state.anchors.any()
 
     def run(engine):
         out = []
         for i in range(300):
-            out.extend(engine.push(int(pcs[i]), int(addrs[i])))
+            out.extend(engine.ingest(int(pcs[i]), int(addrs[i])))
         out.extend(engine.flush())
         return out
 
