@@ -118,16 +118,9 @@ _SCORE_CODES = {"softmax": 0, "sigmoid": 1}
 _SCORE_NAMES = {v: k for k, v in _SCORE_CODES.items()}
 
 
-def save_attention_predictor(model: AttentionPredictor, path) -> None:
-    """Persist an :class:`AttentionPredictor` (config + weights) to ``.npz``.
-
-    The adaptation loop needs the distilled student *next to* the deployed
-    tables (drift re-tabularizes the frozen student on the live window), so
-    the student must survive the train/serve process boundary just like the
-    tables do.
-    """
-    from repro.utils.serialization import save_arrays
-
+def student_state(model: AttentionPredictor) -> dict[str, np.ndarray]:
+    """The student's flat array layout: its weights plus ``__meta__/config``
+    and ``__meta__/dims`` (everything :func:`student_from_state` needs)."""
     mc = model.config
     state = model.state_dict()
     state["__meta__/config"] = np.array(
@@ -136,19 +129,17 @@ def save_attention_predictor(model: AttentionPredictor, path) -> None:
         dtype=np.int64,
     )
     state["__meta__/dims"] = np.array([model.addr_dim, model.pc_dim], dtype=np.int64)
-    save_arrays(path, state)
+    return state
 
 
-def load_attention_predictor(path) -> AttentionPredictor:
-    """Load a predictor saved by :func:`save_attention_predictor`."""
-    from repro.utils.serialization import load_arrays
-
-    state = load_arrays(path)
+def student_from_state(state: dict[str, np.ndarray]) -> AttentionPredictor:
+    """Rebuild the predictor :func:`student_state` laid out (weights copied)."""
     if "__meta__/config" not in state or "__meta__/dims" not in state:
         raise ValueError(
             "not an attention-predictor blob (missing __meta__ arrays); "
             "was this saved with save_attention_predictor?"
         )
+    state = dict(state)
     layers, dim, heads, ffn_dim, hist, bitmap, score = (
         int(v) for v in state.pop("__meta__/config")
     )
@@ -160,3 +151,23 @@ def load_attention_predictor(path) -> AttentionPredictor:
     model = AttentionPredictor(config, addr_dim, pc_dim, rng=0)
     model.load_state_dict(state)
     return model
+
+
+def save_attention_predictor(model: AttentionPredictor, path) -> None:
+    """Persist an :class:`AttentionPredictor` (config + weights) to ``.npz``.
+
+    The adaptation loop needs the distilled student *next to* the deployed
+    tables (drift re-tabularizes the frozen student on the live window), so
+    the student must survive the train/serve process boundary just like the
+    tables do.
+    """
+    from repro.utils.serialization import save_arrays
+
+    save_arrays(path, student_state(model))
+
+
+def load_attention_predictor(path) -> AttentionPredictor:
+    """Load a predictor saved by :func:`save_attention_predictor`."""
+    from repro.utils.serialization import load_arrays
+
+    return student_from_state(load_arrays(path))

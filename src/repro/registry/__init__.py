@@ -10,23 +10,13 @@ where those artifacts live between training and serving:
   versions (adaptation re-fits change few table rows);
 * :mod:`~repro.registry.registry` — :class:`ModelRegistry`:
   ``put/get/push/pull/checkout/log`` over version manifests and refs;
-* :mod:`~repro.registry.codec` — the shared no-pickle array container and
-  the model wire codec the sharded control plane ships swaps with;
 * :mod:`~repro.registry.rollout` — :class:`FleetRollout`: canary a new
   version on a subset of sharded workers, promote on monitor health,
   auto-roll-back on regression.
 """
 
-from repro.registry.codec import (
-    MODEL_WIRE_MAGIC,
-    REGISTRY_MAGIC,
-    decode_model,
-    encode_model,
-    pack_arrays,
-    unpack_arrays,
-)
 from repro.registry.delta import apply_state_delta, delta_nbytes, state_delta
-from repro.registry.registry import ModelRegistry
+from repro.registry.registry import REGISTRY_MAGIC, ModelRegistry
 from repro.registry.rollout import FleetRollout, RolloutConfig
 from repro.registry.store import (
     BlobStore,
@@ -40,18 +30,13 @@ __all__ = [
     "BlobStore",
     "FilesystemRemote",
     "FleetRollout",
-    "MODEL_WIRE_MAGIC",
     "ModelRegistry",
     "REGISTRY_MAGIC",
     "RegistryError",
     "Remote",
     "RolloutConfig",
     "apply_state_delta",
-    "decode_model",
     "delta_nbytes",
-    "encode_model",
-    "pack_arrays",
     "sha256_digest",
     "state_delta",
-    "unpack_arrays",
 ]

@@ -30,10 +30,12 @@ import json
 
 import numpy as np
 
-from repro.registry.codec import REGISTRY_MAGIC, pack_arrays, unpack_arrays
 from repro.registry.delta import apply_state_delta, state_delta
 from repro.registry.store import BlobStore, RegistryError, Remote, sha256_digest
+from repro.utils.serialization import pack_arrays, unpack_arrays
 
+#: container magic of registry payload blobs (full states and deltas)
+REGISTRY_MAGIC = b"DARTREG1"
 #: manifest schema version; bump when the JSON layout changes
 MANIFEST_SCHEMA = 1
 

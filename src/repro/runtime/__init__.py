@@ -68,7 +68,6 @@ from repro.runtime.microbatch import (
 )
 from repro.runtime.multistream import MultiStreamEngine, StreamHandle, serve_interleaved
 from repro.runtime.record import (
-    RecordingStream,
     SessionRecorder,
     SessionTrace,
     TRACE_MAGIC,
@@ -103,7 +102,6 @@ __all__ = [
     "MicroBatcher",
     "ModelArtifact",
     "MultiStreamEngine",
-    "RecordingStream",
     "ReplayReport",
     "SequentialStreamAdapter",
     "SessionRecorder",

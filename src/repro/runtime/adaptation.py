@@ -372,7 +372,7 @@ class AdaptationController:
         if registry is not None:
             if artifact is None:
                 raise ValueError("registry publishing needs a baseline artifact")
-            self.head_digest = artifact.publish(registry, name=publish_ref)
+            self.head_digest = registry.put(artifact, name=publish_ref)
         self._baseline_digest = self.head_digest
 
     def observe(self, pc: int, addr: int, emissions: list[Emission]) -> list[Emission]:
@@ -442,8 +442,8 @@ class AdaptationController:
             predict_calls=getattr(self.engine, "predict_calls", None),
         )
         if self.registry is not None:
-            event["digest"] = self.head_digest = self.artifact.publish(
-                self.registry, parent=self.head_digest, name=self.publish_ref
+            event["digest"] = self.head_digest = self.registry.put(
+                self.artifact, parent=self.head_digest, name=self.publish_ref
             )
         self.events.append(event)
         return drained

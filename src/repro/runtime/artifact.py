@@ -15,6 +15,14 @@ keys (``artifact/version``, ``artifact/meta_json``) sit next to the model
 state in the same flat ``.npz``, so :func:`load_tabular_model` still reads an
 artifact blob (ignoring the extra keys) and :meth:`ModelArtifact.load` reads a
 plain model blob (defaulting version/metadata).
+
+The **model wire codec** (:func:`encode_model` / :func:`decode_model`, the
+``DARTMDL1`` container family) is how a model travels to a sharded worker
+when it cannot ride shared memory, and what the session recorder embeds.
+It carries a :class:`ModelArtifact`, a bare
+:class:`TabularAttentionPredictor` or an
+:class:`~repro.models.attention_model.AttentionPredictor` student; anything
+else is refused with a named ``TypeError`` instead of being pickled.
 """
 
 from __future__ import annotations
@@ -30,10 +38,12 @@ from repro.tabularization.serialization import (
     model_state,
 )
 from repro.tabularization.tabular_model import TabularAttentionPredictor
-from repro.utils.serialization import load_arrays, save_arrays
+from repro.utils.serialization import load_arrays, pack_arrays, save_arrays, unpack_arrays
 
 VERSION_KEY = "artifact/version"
 META_KEY = "artifact/meta_json"
+#: model wire format for worker processes (the no-pickle swap payload)
+MODEL_WIRE_MAGIC = b"DARTMDL1"
 
 
 def is_model_artifact(obj) -> bool:
@@ -125,28 +135,12 @@ class ModelArtifact:
 
         A file is a *checkout*, not the system of record — versioned storage,
         delta lineage, and distribution live in
-        :class:`~repro.registry.registry.ModelRegistry` (:meth:`publish` /
-        :meth:`from_registry`); this writes the same flat state a registry
-        ``checkout`` would, atomically, so a killed process can never leave
-        a torn artifact under ``path``.
+        :class:`~repro.registry.registry.ModelRegistry` (``put`` / ``get``);
+        this writes the same flat state a registry ``checkout`` would,
+        atomically, so a killed process can never leave a torn artifact
+        under ``path``.
         """
         save_arrays(path, self.state())
-
-    # ----------------------------------------------------- registry shims
-    def publish(self, registry, parent: str | None = None, name: str | None = None) -> str:
-        """Store this artifact as a registry version; returns its digest.
-
-        Thin shim over :meth:`ModelRegistry.put <repro.registry.registry.
-        ModelRegistry.put>` — with ``parent`` the payload is a row-delta
-        against that version (the adaptation loop's successor chains store
-        this way).
-        """
-        return registry.put(self, parent=parent, name=name)
-
-    @classmethod
-    def from_registry(cls, registry, ref_or_digest: str) -> "ModelArtifact":
-        """Reconstruct a version from a registry (shim over ``registry.get``)."""
-        return registry.get(ref_or_digest)
 
     @classmethod
     def from_state(cls, state: dict[str, np.ndarray]) -> "ModelArtifact":
@@ -159,3 +153,44 @@ class ModelArtifact:
     def load(cls, path) -> "ModelArtifact":
         """Load an artifact blob; plain model blobs get version 1, empty meta."""
         return cls.from_state(load_arrays(path))
+
+
+# ----------------------------------------------------------- model wire codec
+def encode_model(model) -> bytes:
+    """Serialize a swap/boot model into the ``DARTMDL1`` wire container.
+
+    The sharded control plane's replacement for ``pickle.dumps(model)``:
+    only models with a defined array state can travel to a worker, and each
+    arrives tagged with its kind so :func:`decode_model` rebuilds the right
+    type. Raises a named ``TypeError`` for anything else.
+    """
+    from repro.models.attention_model import AttentionPredictor, student_state
+
+    if is_model_artifact(model):
+        kind, state = "artifact", model.state()
+    elif isinstance(model, TabularAttentionPredictor):
+        kind, state = "tabular", model_state(model)
+    elif isinstance(model, AttentionPredictor):
+        kind, state = "student", student_state(model)
+    else:
+        raise TypeError(
+            f"cannot encode {type(model).__name__} for worker shipping: the "
+            "no-pickle wire codec carries ModelArtifact, TabularAttentionPredictor "
+            "or AttentionPredictor payloads only"
+        )
+    return pack_arrays(state, MODEL_WIRE_MAGIC, meta={"kind": kind}, what="model wire blob")
+
+
+def decode_model(buf: bytes):
+    """Rebuild the model :func:`encode_model` serialized."""
+    from repro.models.attention_model import student_from_state
+
+    arrays, meta = unpack_arrays(buf, MODEL_WIRE_MAGIC, what="model wire blob")
+    kind = meta.get("kind")
+    if kind == "artifact":
+        return ModelArtifact.from_state(arrays)
+    if kind == "tabular":
+        return model_from_state(arrays)
+    if kind == "student":
+        return student_from_state(arrays)
+    raise ValueError(f"model wire blob has unknown kind {kind!r}")

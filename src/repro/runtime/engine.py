@@ -209,7 +209,6 @@ def serve(
     source: Iterable,
     collect: bool = False,
     measure: bool = True,
-    recorder=None,
 ) -> tuple[StreamStats, list[list[int]] | None]:
     """Pump every access of ``source`` through ``stream``; return metrics.
 
@@ -218,12 +217,10 @@ def serve(
     equivalence checks but costs memory proportional to the trace, so leave
     it off when serving chunked multi-hundred-MB traces.
     ``measure=False`` skips per-access timing (the timing itself costs two
-    clock reads per access) and reports only totals. ``recorder`` (a
-    :class:`~repro.runtime.record.SessionRecorder`) captures the session into
-    a replayable trace by wrapping ``stream`` in a recording proxy.
+    clock reads per access) and reports only totals. To record the session,
+    attach a :class:`~repro.runtime.record.SessionRecorder` to ``stream``
+    first.
     """
-    if recorder is not None:
-        stream = recorder.wrap(stream)
     stream.reset()
     lists: list[list[int]] = [] if collect else None
     sketch = _LatencySketch()

@@ -52,6 +52,7 @@ from repro.runtime.streaming import Emission, StreamingPrefetcher
 from repro.tabularization.tabular_model import key_view
 from repro.tabularization.transitions import CodeMapCache
 from repro.utils.bits import block_address
+from repro.utils.serialization import pack_arrays, unpack_arrays
 
 #: Head code tuples the emission memo holds before it is cleared (a K=128,
 #: C=2 head has 16,384).
@@ -222,21 +223,16 @@ SNAPSHOT_MAGIC = b"DARTSNP1"
 def snapshot_to_bytes(snapshot: dict[str, np.ndarray]) -> bytes:
     """Pack a flat array dict into one self-describing byte string.
 
-    The shared container idiom (MAGIC, uint64 manifest length, JSON
-    manifest, raw contiguous payloads) now lives once in
-    :mod:`repro.registry.codec`; this is the ``DARTSNP1`` instantiation —
-    what a frozen stream travels through the sharded engine's
-    length-prefixed pipe protocol as. No pickle.
+    The ``DARTSNP1`` family of the one container
+    (:func:`repro.utils.serialization.pack_arrays`): what a frozen stream
+    travels through the sharded engine's length-prefixed pipe protocol as.
+    No pickle.
     """
-    from repro.registry.codec import pack_arrays
-
     return pack_arrays(snapshot, SNAPSHOT_MAGIC, what="stream-state snapshot")
 
 
 def snapshot_from_bytes(buf: bytes) -> dict[str, np.ndarray]:
     """Unpack :func:`snapshot_to_bytes` output; named errors on bad framing."""
-    from repro.registry.codec import unpack_arrays
-
     arrays, _ = unpack_arrays(buf, SNAPSHOT_MAGIC, what="stream-state snapshot")
     # Writable copies, detached from the wire buffer (thaw mutates rings).
     return {key: arr.copy() for key, arr in arrays.items()}

@@ -4,9 +4,8 @@ The churn fuzz proves invariants on *synthetic* schedules; production needs
 the inverse — capture a real session and replay it as a permanent regression
 test. A :class:`SessionRecorder` attaches to any engine
 (:class:`~repro.runtime.sharded.ShardedEngine`,
-:class:`~repro.runtime.multistream.MultiStreamEngine`) or wraps a plain
-:class:`~repro.runtime.streaming.StreamingPrefetcher` and captures the full
-session:
+:class:`~repro.runtime.multistream.MultiStreamEngine`, including the
+one-stream engine ``stream()`` returns) and captures the full session:
 
 * the **schedule** — every access in arrival order, interleaved with the
   control-plane ops (open/close/migrate/rescale/swap/flush/reset) exactly
@@ -20,8 +19,8 @@ session:
 
 Everything lands in a versioned, self-describing ``DARTTRC1`` container —
 JSON manifest + raw int64/uint8 payload via
-:func:`repro.registry.codec.pack_arrays`, the same no-pickle idiom as
-``DARTSNP1`` stream snapshots and ``DARTMDL1`` model blobs. See
+:func:`repro.utils.serialization.pack_arrays`, the same no-pickle container
+as ``DARTSNP1`` stream snapshots and ``DARTMDL1`` model blobs. See
 :mod:`repro.runtime.replay` for the replay driver and the declarative
 contracts it enforces.
 """
@@ -29,11 +28,13 @@ contracts it enforces.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import numpy as np
 
-from repro.registry.codec import model_digest, pack_arrays, unpack_arrays
-from repro.runtime.streaming import Emission, StreamingPrefetcher
+from repro.runtime.artifact import encode_model
+from repro.runtime.streaming import Emission
+from repro.utils.serialization import pack_arrays, unpack_arrays
 
 #: the session-trace container family (manifest + payload, no pickle)
 TRACE_MAGIC = b"DARTTRC1"
@@ -170,10 +171,10 @@ class SessionTrace:
 class SessionRecorder:
     """Capture one serving session into a :class:`SessionTrace`.
 
-    Attach to an engine (:meth:`attach`) *before* driving it, or wrap a plain
-    stream (:meth:`wrap`). Every schedule event and every delivered emission
-    is appended to the in-memory event log; :meth:`trace` seals the log into
-    a container, :meth:`save` writes it to disk.
+    Attach to an engine (:meth:`attach`) *before* driving it. Every schedule
+    event and every delivered emission is appended to the in-memory event
+    log; :meth:`trace` seals the log into a container, :meth:`save` writes it
+    to disk.
 
     Engines call the ``on_*`` hooks; they are cheap appends (no copies, no
     encoding) except :meth:`on_swap`, which encodes the incoming model once
@@ -196,10 +197,10 @@ class SessionRecorder:
 
     # ------------------------------------------------------------- attachment
     def _embed(self, model) -> str:
-        from repro.registry.codec import encode_model
-
+        """Embed ``model``'s wire blob under its SHA-256 (the registry's
+        content address, so a trace's models are registry-resolvable)."""
         blob = encode_model(model)
-        digest = model_digest(model)
+        digest = hashlib.sha256(blob).hexdigest()
         self._models.setdefault(digest, blob)
         return digest
 
@@ -247,8 +248,7 @@ class SessionRecorder:
         else:
             raise TypeError(
                 f"cannot record a {type(engine).__name__}: attach() takes a "
-                "ShardedEngine or MultiStreamEngine (wrap plain streams with "
-                "SessionRecorder.wrap)"
+                "ShardedEngine or MultiStreamEngine"
             )
         if model is not None:
             self._boot_digest = self._embed(model)
@@ -260,33 +260,6 @@ class SessionRecorder:
     @staticmethod
     def _shard_of(engine, handle) -> int:
         return getattr(handle, "shard_id", -1)
-
-    def wrap(self, stream: StreamingPrefetcher, model=None, **engine_meta):
-        """Record a plain streaming prefetcher through a proxy stream.
-
-        ``engine_meta`` overrides the recorded engine block (``batch_size``,
-        ``threshold``, ``max_degree``, ``decode``, …) so the trace replays on
-        an engine column even though a bare stream has no engine; pass the
-        serving knobs the stream was built with.
-        """
-        if not self._engine_meta:
-            self._engine_meta = {"column": "stream", "workers": 1}
-        self._engine_meta.update(engine_meta)
-        if model is not None:
-            self._boot_digest = self._embed(model)
-            if not self._preprocess and hasattr(model, "model_config"):
-                mc = model.model_config
-                self._preprocess.setdefault("history_len", mc.history_len)
-                self._preprocess.setdefault("delta_range", mc.bitmap_size // 2)
-        index = self.on_open(
-            len(self._names), getattr(stream, "name", f"stream[{len(self._names)}]"),
-            -1,
-        )
-        return RecordingStream(self, stream, index)
-
-    def set_preprocess(self, config) -> None:
-        """Record the preprocessing geometry (needed when wrapping streams)."""
-        self._preprocess = _preprocess_meta(config)
 
     # ------------------------------------------------------------------ hooks
     def on_open(self, stream: int, name: str, shard: int = -1) -> int:
@@ -369,37 +342,3 @@ class SessionRecorder:
     def save(self, path: str) -> int:
         return self.trace().save(path)
 
-
-class RecordingStream(StreamingPrefetcher):
-    """Proxy stream that records the schedule and emissions of its inner
-    stream — how a plain (engine-less) ``StreamingPrefetcher`` is captured.
-    Transparent otherwise: same emissions, same protocol, same name.
-    """
-
-    def __init__(self, recorder: SessionRecorder, inner: StreamingPrefetcher,
-                 index: int):
-        self._recorder = recorder
-        self._inner = inner
-        self.index = index
-        self.name = getattr(inner, "name", f"stream[{index}]")
-        self.latency_cycles = getattr(inner, "latency_cycles", 0)
-        self.storage_bytes = getattr(inner, "storage_bytes", 0.0)
-
-    def ingest(self, pc: int, addr: int) -> list[Emission]:
-        self._recorder.on_access(self.index, pc, addr)
-        emissions = self._inner.ingest(pc, addr)
-        self._recorder.on_emissions(self.index, emissions)
-        return emissions
-
-    def flush(self) -> list[Emission]:
-        self._recorder.on_flush()
-        emissions = self._inner.flush()
-        self._recorder.on_emissions(self.index, emissions)
-        return emissions
-
-    def reset(self) -> None:
-        self._recorder.on_reset(self.index)
-        self._inner.reset()
-
-    def __getattr__(self, attr):
-        return getattr(self._inner, attr)

@@ -230,7 +230,7 @@ def _resolve_model(trace: SessionTrace, model):
         return model
     digest = trace.meta.get("boot_model")
     if digest and digest in trace.models:
-        from repro.registry.codec import decode_model
+        from repro.runtime.artifact import decode_model
 
         return decode_model(trace.models[digest])
     raise ValueError(
@@ -385,7 +385,7 @@ def replay(trace, column: str | None = None, model=None,
                 rescales += 1
             elif kind == EV_SWAP:
                 swap = meta.get("swaps", [])[int(row[2])]
-                from repro.registry.codec import decode_model
+                from repro.runtime.artifact import decode_model
 
                 target = decode_model(trace.models[swap["digest"]])
                 cohort = swap.get("workers")

@@ -40,7 +40,7 @@ frames; the body is a fixed ``<iq`` header — opcode, meta — plus a raw
 ``int64`` payload). Accesses travel as ``(local_stream, pc, addr)`` rows;
 emissions return as flat ``[stream, seq, n, blocks…]`` records. Nothing in
 the protocol pickles — models that cannot ride shared memory travel in the
-``DARTMDL1`` wire container (:func:`repro.registry.codec.encode_model`),
+``DARTMDL1`` wire container (:func:`repro.runtime.artifact.encode_model`),
 stats replies are JSON, and snapshots use the stream-state codec, so a
 worker never executes attacker-controllable deserialization.
 
@@ -167,7 +167,7 @@ class ShardFailure(RuntimeError):
 
 # --------------------------------------------------------------------- worker
 def _worker_serve_loop(worker_id: int, conn, model_spec, engine_kwargs: dict,
-                       measure: bool, chaos_reply_delay: tuple | None = None):
+                       chaos_reply_delay: tuple | None = None):
     """One shard: a MultiStreamEngine over shared tables, driven by the pipe.
 
     Runs in its own OS process. Never returns normally — exits on
@@ -200,7 +200,7 @@ def _worker_serve_loop(worker_id: int, conn, model_spec, engine_kwargs: dict,
 
             model, tables = attach_artifact(model_spec[1])
         else:
-            from repro.registry.codec import decode_model
+            from repro.runtime.artifact import decode_model
 
             model = decode_model(model_spec[1])
         engine = MultiStreamEngine(model, **engine_kwargs)
@@ -253,17 +253,12 @@ def _worker_serve_loop(worker_id: int, conn, model_spec, engine_kwargs: dict,
                     # seq is echoed in the reply so the frontend can check it
                     # against the request it has outstanding.
                     rows = np.frombuffer(payload, dtype=np.int64).reshape(-1, 3).tolist()
-                    if measure:
-                        for lidx, pc, addr in rows:
-                            t0 = perf()
-                            ems = handles[lidx].ingest(pc, addr)
-                            sketches[lidx].add(perf() - t0)
-                            counts[lidx][0] += 1
-                            note(lidx, ems)
-                    else:
-                        for lidx, pc, addr in rows:
-                            note(lidx, handles[lidx].ingest(pc, addr))
-                            counts[lidx][0] += 1
+                    for lidx, pc, addr in rows:
+                        t0 = perf()
+                        ems = handles[lidx].ingest(pc, addr)
+                        sketches[lidx].add(perf() - t0)
+                        counts[lidx][0] += 1
+                        note(lidx, ems)
                     if chaos_rng is not None:
                         time.sleep(chaos_rng.random() * chaos_max)
                     reply_emissions(deliver=bool(meta & 1), meta=meta >> 1)
@@ -281,7 +276,7 @@ def _worker_serve_loop(worker_id: int, conn, model_spec, engine_kwargs: dict,
                 elif op == OP_SWAP:
                     deliver = bool(meta & 2)
                     if meta & 1:
-                        from repro.registry.codec import decode_model
+                        from repro.runtime.artifact import decode_model
 
                         engine.swap_model(decode_model(payload))
                         old = None
@@ -499,7 +494,7 @@ class ShardedEngine:
     ``model`` may be a :class:`~repro.runtime.artifact.ModelArtifact` or bare
     :class:`TabularAttentionPredictor` (published once into shared memory —
     the zero-copy path), or any predictor the no-pickle model wire codec
-    carries (:func:`repro.registry.codec.encode_model` — e.g. the NN student
+    carries (:func:`repro.runtime.artifact.encode_model` — e.g. the NN student
     baseline; each worker then decodes a private copy). Serving knobs
     (``batch_size``, ``max_wait``, decode policy) mirror
     :class:`~repro.runtime.multistream.MultiStreamEngine` and apply per
@@ -546,7 +541,6 @@ class ShardedEngine:
         io_chunk: int = 256,
         serve_chunk: int = 2048,
         name: str = "sharded",
-        measure: bool = True,
         latency_cycles: int = 0,
         storage_bytes: float = 0.0,
         reply_timeout: float = 60.0,
@@ -583,7 +577,6 @@ class ShardedEngine:
         )
         self.batch_size = int(batch_size)
         self.max_wait = max_wait
-        self._measure = bool(measure)
         self.reply_timeout = float(reply_timeout)
         self.drain_poll_interval = float(drain_poll_interval)
         self._chaos_reply_delay = chaos_reply_delay
@@ -625,7 +618,7 @@ class ShardedEngine:
             pub = publish_artifact(model)
             self._publications.append(pub)
             return ("shm", pub.name)
-        from repro.registry.codec import encode_model
+        from repro.runtime.artifact import encode_model
 
         try:
             return ("codec", encode_model(model))
@@ -666,7 +659,7 @@ class ShardedEngine:
     @property
     def shm_bytes(self) -> int | None:
         """Total bytes of live shared segments (None for codec-shipped models)."""
-        return self._publications[-1].nbytes if self._publications else None
+        return sum(p.nbytes for p in self._publications) if self._publications else None
 
     # ------------------------------------------------------------ registration
     @staticmethod
@@ -729,7 +722,7 @@ class ShardedEngine:
         proc = self._ctx.Process(
             target=_worker_serve_loop,
             args=(shard.id, child, self._model_spec, self._engine_kwargs,
-                  self._measure, self._chaos_reply_delay),
+                  self._chaos_reply_delay),
             name=f"{self.name}-w{shard.id}",
             daemon=True,
         )

@@ -49,8 +49,6 @@ from repro.tabularization.export import (  # noqa: E402
     export_packed,
     import_packed,
     packed_info,
-    read_packed,
-    write_packed,
 )
 from repro.tabularization.fastpath import SingleQueryFastPath  # noqa: E402
 from repro.tabularization.serialization import (  # noqa: E402
@@ -81,6 +79,4 @@ __all__ += [
     "export_packed",
     "import_packed",
     "packed_info",
-    "read_packed",
-    "write_packed",
 ]

@@ -2,21 +2,23 @@
 
 ``save_tabular_model`` round-trips through ``.npz`` for Python workflows;
 *this* format is what a hardware/firmware consumer would ingest: a single
-little-endian blob with a fixed-layout header, a table of contents, and raw
+little-endian blob with a fixed-layout header, a JSON manifest, and raw
 array payloads — no zip container, no NumPy metadata, parseable from C in a
-few dozen lines.
+few dozen lines. It is the ``DARTTBL2`` family of the one array container
+(:func:`repro.utils.serialization.pack_arrays`).
 
 Layout::
 
     offset  size  field
-    0       8     magic  b"DARTTBL1"
-    8       4     uint32 header_json_length = H
-    12      H     UTF-8 JSON: {"entries": [{name, dtype, shape, offset, nbytes},
-                               ...], "attrs": {...}}
-    12+H    ...   raw array payloads, 64-byte aligned, little-endian
+    0       8     magic  b"DARTTBL2"
+    8       8     uint64 manifest length = H
+    16      H     UTF-8 JSON: {"format": 2, "arrays": {name: {dtype, shape,
+                               offset}}, "meta": {...attrs}}
+    P       ...   raw array payloads, little-endian; P is 16 + H rounded up
+                  to 64, and each array starts at P + offset, 64-byte aligned
 
-Payload offsets in the TOC are absolute file offsets, so a consumer can mmap
-the file and point kernels straight at the tables. ``export_packed`` can
+Offsets are relative to the payload start ``P``, so a consumer can mmap the
+file and point kernels straight at the tables. ``export_packed`` can
 down-convert float64 tables to float32/float16 on the way out (independent of
 the fixed-point study in :mod:`repro.quantization.bitwidth` — this is the
 wire format, that is the arithmetic model).
@@ -24,9 +26,8 @@ wire format, that is the arithmetic model).
 
 from __future__ import annotations
 
-import json
 import os
-import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -36,9 +37,10 @@ from repro.tabularization.serialization import (
     model_from_state,
     model_state,
 )
+from repro.utils.serialization import pack_arrays, unpack_arrays
 
-MAGIC = b"DARTTBL1"
-_ALIGN = 64
+MAGIC = b"DARTTBL2"
+_WHAT = "DART table file"
 
 #: dtypes allowed in the container (names are NumPy canonical strings)
 _ALLOWED_DTYPES = {
@@ -46,85 +48,8 @@ _ALLOWED_DTYPES = {
 }
 
 
-def _aligned(offset: int) -> int:
-    return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
-
-
-def write_packed(path: str | os.PathLike, arrays: dict[str, np.ndarray], attrs: dict | None = None) -> int:
-    """Write a named-array dict in the packed format; returns total bytes."""
-    entries = []
-    # First pass: lay out payload offsets (header size depends on the TOC,
-    # so lay out with placeholder offsets, then fix up once sized).
-    metas = []
-    for name, arr in arrays.items():
-        arr = np.ascontiguousarray(arr)
-        dtype = arr.dtype.name
-        if dtype not in _ALLOWED_DTYPES:
-            raise ValueError(f"dtype {dtype} of {name!r} not supported by the container")
-        metas.append((name, arr))
-
-    def toc_bytes(with_offsets: list[int]) -> bytes:
-        entries.clear()
-        for (name, arr), off in zip(metas, with_offsets):
-            entries.append(
-                {
-                    "name": name,
-                    "dtype": arr.dtype.name,
-                    "shape": list(arr.shape),
-                    "offset": off,
-                    "nbytes": int(arr.nbytes),
-                }
-            )
-        doc = {"entries": entries, "attrs": attrs or {}}
-        return json.dumps(doc, sort_keys=True).encode("utf-8")
-
-    # Iterate the layout to a fixed point: offsets depend on header length,
-    # which depends on offset digits. Two rounds always converge (offsets
-    # only grow, and digit counts stabilize).
-    offsets = [0] * len(metas)
-    for _ in range(4):
-        header = toc_bytes(offsets)
-        base = _aligned(len(MAGIC) + 4 + len(header))
-        new_offsets = []
-        cur = base
-        for _, arr in metas:
-            new_offsets.append(cur)
-            cur = _aligned(cur + arr.nbytes)
-        if new_offsets == offsets:
-            break
-        offsets = new_offsets
-    header = toc_bytes(offsets)
-
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", len(header)))
-        f.write(header)
-        for (name, arr), off in zip(metas, offsets):
-            pad = off - f.tell()
-            if pad < 0:
-                raise RuntimeError("layout error: negative padding")
-            f.write(b"\x00" * pad)
-            little = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
-            f.write(little.tobytes())
-        total = f.tell()
-    return total
-
-
-def read_packed(path: str | os.PathLike) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a packed file back into ``(arrays, attrs)``."""
-    with open(path, "rb") as f:
-        magic = f.read(8)
-        if magic != MAGIC:
-            raise ValueError(f"not a DART table file (magic {magic!r})")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        doc = json.loads(f.read(hlen).decode("utf-8"))
-        arrays: dict[str, np.ndarray] = {}
-        for e in doc["entries"]:
-            f.seek(e["offset"])
-            raw = f.read(e["nbytes"])
-            arr = np.frombuffer(raw, dtype=np.dtype(e["dtype"]).newbyteorder("<"))
-            arrays[e["name"]] = arr.reshape(e["shape"]).astype(e["dtype"])
-    return arrays, doc["attrs"]
+def _read(path: str | os.PathLike) -> tuple[dict[str, np.ndarray], dict]:
+    return unpack_arrays(Path(path).read_bytes(), MAGIC, what=_WHAT)
 
 
 def export_packed(model, path: str | os.PathLike, float_dtype: str = "float32") -> int:
@@ -148,45 +73,45 @@ def export_packed(model, path: str | os.PathLike, float_dtype: str = "float32") 
         attrs["artifact"] = {"version": int(model.version), "metadata": model.metadata}
         model = model.model
     attrs["config_hash"] = config_fingerprint(model.model_config, model.table_config)
-    state = model_state(model)
     out: dict[str, np.ndarray] = {}
-    for name, arr in state.items():
+    for name, arr in model_state(model).items():
         if np.issubdtype(arr.dtype, np.floating):
-            out[name] = arr.astype(float_dtype)
-        else:
-            out[name] = arr
-    return write_packed(path, out, attrs=attrs)
+            arr = arr.astype(float_dtype)
+        if arr.dtype.name not in _ALLOWED_DTYPES:
+            raise ValueError(
+                f"dtype {arr.dtype.name} of {name!r} not supported by the container"
+            )
+        out[name] = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
+    data = pack_arrays(out, MAGIC, meta=attrs, what=_WHAT)
+    Path(path).write_bytes(data)
+    return len(data)
 
 
 def import_packed(path: str | os.PathLike):
     """Load a packed export back into a queryable tabular model."""
-    arrays, attrs = read_packed(path)
+    arrays, attrs = _read(path)
     if attrs.get("format") != "dart-tabular":
         raise ValueError("packed file does not contain a tabular model")
-    state = {k: np.asarray(v, dtype=np.float64) if np.issubdtype(v.dtype, np.floating) else v
+    # Native-order copies: the unpacked arrays are read-only views into the file.
+    state = {k: v.astype(np.float64 if np.issubdtype(v.dtype, np.floating) else v.dtype.name)
              for k, v in arrays.items()}
     return model_from_state(state)
 
 
 def packed_info(path: str | os.PathLike) -> dict:
-    """Container inventory + provenance without materializing any table.
+    """Container inventory + provenance without converting any table.
 
-    Reads only the header/TOC: total bytes per dtype, entry count, and the
-    embedded attrs (float dtype, config hash, artifact version/metadata when
-    the blob was exported from a :class:`ModelArtifact`).
+    Total bytes per dtype, entry count, and the embedded attrs (float dtype,
+    config hash, artifact version/metadata when the blob was exported from a
+    :class:`ModelArtifact`), read off the zero-copy views.
     """
-    with open(path, "rb") as f:
-        magic = f.read(8)
-        if magic != MAGIC:
-            raise ValueError(f"not a DART table file (magic {magic!r})")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        doc = json.loads(f.read(hlen).decode("utf-8"))
+    arrays, attrs = _read(path)
     by_dtype: dict[str, int] = {}
-    for e in doc["entries"]:
-        by_dtype[e["dtype"]] = by_dtype.get(e["dtype"], 0) + int(e["nbytes"])
+    for arr in arrays.values():
+        by_dtype[arr.dtype.name] = by_dtype.get(arr.dtype.name, 0) + arr.nbytes
     return {
-        "entries": len(doc["entries"]),
-        "payload_bytes": sum(int(e["nbytes"]) for e in doc["entries"]),
+        "entries": len(arrays),
+        "payload_bytes": sum(by_dtype.values()),
         "bytes_by_dtype": by_dtype,
-        "attrs": doc.get("attrs", {}),
+        "attrs": attrs,
     }

@@ -8,17 +8,14 @@ number of worker processes **attach** and reconstruct the full
 :class:`TabularAttentionPredictor` as read-only ndarray *views* into the same
 physical pages — W workers cost one copy of the hierarchy, not W.
 
-Segment layout (one contiguous block)::
-
-    MAGIC (8 bytes) | manifest length (uint64 LE) | JSON manifest | payload
-
-The manifest maps every serialization key (the same flat key space
-:mod:`repro.tabularization.serialization` writes to ``.npz``) to a
-``(dtype, shape, offset)`` triple; arrays start 64-byte aligned. Attaching
-re-runs the *serialization layer's own validation* — ``format/version``
-header, ``format/config_hash`` fingerprint and the per-config key manifest —
-so a stale or foreign segment fails with the same named errors a bad ``.npz``
-would, before any kernel is built.
+The segment is the ``DARTSHM1`` family of the one array container
+(:func:`repro.utils.serialization.pack_arrays`), keyed by the same flat key
+space :mod:`repro.tabularization.serialization` writes to ``.npz``; every
+array starts 64-byte aligned. Attaching re-runs the *serialization layer's
+own validation* — ``format/version`` header, ``format/config_hash``
+fingerprint and the per-config key manifest — so a stale or foreign segment
+fails with the same named errors a bad ``.npz`` would, before any kernel is
+built.
 
 Zero-copy depends on one property of the reconstruction path:
 ``np.ascontiguousarray`` on an already-contiguous array returns the array
@@ -36,15 +33,14 @@ crashed publisher's segments are still reaped at interpreter exit.
 
 from __future__ import annotations
 
-import json
 import secrets
 from multiprocessing import shared_memory
 
 import numpy as np
 
+from repro.utils.serialization import pack_arrays, unpack_arrays
+
 MAGIC = b"DARTSHM1"
-_HEADER = len(MAGIC) + 8  # magic + uint64 manifest length
-_ALIGN = 64
 
 
 def _new_segment_name() -> str:
@@ -60,13 +56,12 @@ class SharedTables:
     unlinks on context-manager exit; attachers merely close their mapping.
     """
 
-    def __init__(self, shm: shared_memory.SharedMemory, manifest: dict, owner: bool):
+    def __init__(self, shm: shared_memory.SharedMemory, owner: bool):
         self._shm = shm
-        self.manifest = manifest
         self.owner = owner
         self.name = shm.name
-        #: total segment size in bytes (header + manifest + payload)
-        self.nbytes = int(manifest["total"])
+        #: segment size in bytes (header + manifest + payload)
+        self.nbytes = int(shm.size)
         self._views: dict[str, np.ndarray] | None = None
         self._closed = False
 
@@ -81,31 +76,18 @@ class SharedTables:
         if self._closed:
             raise ValueError(f"shared tables {self.name!r} are closed")
         if self._views is None:
-            views: dict[str, np.ndarray] = {}
-            buf = self._shm.buf
-            for key, spec in self.manifest["arrays"].items():
-                arr = np.ndarray(
-                    tuple(spec["shape"]),
-                    dtype=np.dtype(spec["dtype"]),
-                    buffer=buf,
-                    offset=int(spec["offset"]),
-                )
-                arr.flags.writeable = False
-                views[key] = arr
-            self._views = views
+            self._views, _ = unpack_arrays(
+                self._shm.buf, MAGIC, what=f"DART table segment {self.name!r}"
+            )
         return self._views
-
-    def keys(self) -> list[str]:
-        return list(self.manifest["arrays"])
 
     # --------------------------------------------------------------- lifetime
     def close(self) -> None:
         """Release this process's mapping (safe to call twice).
 
-        Any ndarray views handed out must be dropped first; NumPy pins the
-        underlying buffer, and closing an exported mmap raises
-        ``BufferError`` — surfaced as-is because silently leaking the mapping
-        would be worse.
+        Drop every view handed out (and every model built from them) first:
+        the views do not pin the mapping, so a read through one after close
+        touches unmapped memory.
         """
         if self._closed:
             return
@@ -134,58 +116,30 @@ class SharedTables:
 
 
 # -------------------------------------------------------------- state level
-def _payload_base(manifest_len: int) -> int:
-    """Aligned offset where the payload starts, given the manifest's length.
-
-    Derived identically by publisher and attacher, so the manifest can store
-    payload-relative offsets and never depend on its own serialized size.
-    """
-    return -(-(_HEADER + manifest_len) // _ALIGN) * _ALIGN
-
-
 def publish_state(
     state: dict[str, np.ndarray], name: str | None = None
 ) -> SharedTables:
-    """Write a flat state dict into a fresh named shared-memory segment."""
-    arrays: dict[str, dict] = {}
-    offset = 0  # relative to the payload base
-    prepared: dict[str, np.ndarray] = {}
-    for key in state:
-        arr = np.ascontiguousarray(state[key])
-        prepared[key] = arr
-        offset = -(-offset // _ALIGN) * _ALIGN  # align each array
-        arrays[key] = {
-            "dtype": arr.dtype.str,
-            "shape": list(arr.shape),
-            "offset": offset,
-        }
-        offset += arr.nbytes
-    manifest = {"format": 1, "arrays": arrays, "payload_bytes": offset}
-    blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    base = _payload_base(len(blob))
-    manifest["total"] = base + offset  # for introspection; not load-bearing
-    shm = shared_memory.SharedMemory(
-        create=True, size=max(base + offset, 1), name=name or _new_segment_name()
-    )
+    """Write a flat state dict into a fresh named shared-memory segment.
+
+    The container is laid out first and the arrays are written straight into
+    the new segment, so no second full copy of the tables is ever built.
+    """
+    segment: list[shared_memory.SharedMemory] = []
+
+    def create(size: int):
+        segment.append(shared_memory.SharedMemory(
+            create=True, size=size, name=name or _new_segment_name()
+        ))
+        return segment[0].buf
+
     try:
-        buf = shm.buf
-        buf[: len(MAGIC)] = MAGIC
-        buf[len(MAGIC) : _HEADER] = len(blob).to_bytes(8, "little")
-        buf[_HEADER : _HEADER + len(blob)] = blob
-        for key, spec in arrays.items():
-            arr = prepared[key]
-            spec["offset"] += base  # absolute, for the in-memory manifest
-            if arr.nbytes:
-                dst = np.ndarray(
-                    arr.shape, dtype=arr.dtype, buffer=buf, offset=spec["offset"]
-                )
-                dst[...] = arr
-                del dst
+        pack_arrays(state, MAGIC, what="DART table segment", into=create)
     except BaseException:
-        shm.close()
-        shm.unlink()
+        for shm in segment:
+            shm.close()
+            shm.unlink()
         raise
-    return SharedTables(shm, manifest, owner=True)
+    return SharedTables(segment[0], owner=True)
 
 
 def attach_state(name: str) -> SharedTables:
@@ -195,43 +149,13 @@ def attach_state(name: str) -> SharedTables:
     # re-registering the name here is a no-op and the publisher's unlink
     # removes the single entry. (Unregistering here instead would clobber the
     # publisher's registration and crash the tracker on unlink.)
-    shm = shared_memory.SharedMemory(name=name)
+    tables = SharedTables(shared_memory.SharedMemory(name=name), owner=False)
     try:
-        buf = shm.buf
-        if bytes(buf[: len(MAGIC)]) != MAGIC:
-            raise ValueError(
-                f"shared-memory segment {name!r} is not a DART table segment "
-                f"(bad magic)"
-            )
-        mlen = int.from_bytes(bytes(buf[len(MAGIC) : _HEADER]), "little")
-        if _HEADER + mlen > shm.size:
-            raise ValueError(
-                f"shared-memory segment {name!r} is truncated "
-                f"(manifest claims {mlen} bytes, segment holds {shm.size})"
-            )
-        manifest = json.loads(bytes(buf[_HEADER : _HEADER + mlen]).decode("utf-8"))
-        if manifest.get("format") != 1:
-            raise ValueError(
-                f"shared-memory segment {name!r} uses manifest format "
-                f"{manifest.get('format')!r}; this build reads format 1"
-            )
-        base = _payload_base(mlen)
-        manifest["total"] = base + int(manifest["payload_bytes"])
-        for key, spec in manifest["arrays"].items():
-            spec["offset"] = int(spec["offset"]) + base  # rebase to absolute
-            end = spec["offset"] + int(
-                np.dtype(spec["dtype"]).itemsize
-                * int(np.prod(spec["shape"], dtype=np.int64))
-            )
-            if end > shm.size:
-                raise ValueError(
-                    f"shared-memory segment {name!r} is truncated: array "
-                    f"{key!r} extends past the mapped size"
-                )
+        tables.state()
     except BaseException:
-        shm.close()
+        tables.close()
         raise
-    return SharedTables(shm, manifest, owner=False)
+    return tables
 
 
 # ----------------------------------------------------------- artifact level

@@ -79,17 +79,6 @@ def test_corrupt_npz_trace(tmp_path):
         MemoryTrace.load(path)
 
 
-def test_truncated_packed_export(tmp_path):
-    from repro.tabularization import read_packed, write_packed
-
-    path = tmp_path / "t.bin"
-    write_packed(path, {"x": np.arange(100, dtype=np.float64)})
-    raw = path.read_bytes()
-    path.write_bytes(raw[: len(raw) // 2])  # truncate mid-payload
-    with pytest.raises(Exception):
-        read_packed(path)
-
-
 def test_model_state_dict_mismatch_rejected():
     from repro.models import AttentionPredictor, ModelConfig
 

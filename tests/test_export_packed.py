@@ -1,67 +1,45 @@
-"""Packed binary table export: container format and model round-trip."""
+"""Packed binary table export: the ``DARTTBL2`` file and model round-trip.
 
-import json
-import struct
+The container layout itself (alignment, truncation, foreign families) is
+pinned for every family in ``test_container.py``.
+"""
 
 import numpy as np
 import pytest
 
-from repro.tabularization import export_packed, import_packed, read_packed, write_packed
+from repro.tabularization import export, export_packed, import_packed, packed_info
 from repro.tabularization.export import MAGIC
+from repro.utils.serialization import pack_arrays, unpack_arrays
 
 
-def test_write_read_roundtrip(tmp_path):
-    arrays = {
-        "a/table": np.arange(24, dtype=np.float64).reshape(2, 3, 4),
-        "b/meta": np.array([1, 2, 3], dtype=np.int64),
-        "c/small": np.float32([[1.5, -2.5]]),
-    }
-    path = tmp_path / "tables.bin"
-    total = write_packed(path, arrays, attrs={"k": 1})
-    assert total == path.stat().st_size
-    back, attrs = read_packed(path)
-    assert attrs == {"k": 1}
-    assert set(back) == set(arrays)
-    for k in arrays:
-        np.testing.assert_array_equal(back[k], arrays[k])
-        assert back[k].dtype == arrays[k].dtype
-
-
-def test_magic_and_header_parse(tmp_path):
+def test_magic_and_header_parse(tmp_path, tabular_student):
+    model, _ = tabular_student
     path = tmp_path / "t.bin"
-    write_packed(path, {"x": np.zeros(4)})
+    total = export_packed(model, path, float_dtype="float32")
     raw = path.read_bytes()
-    assert raw[:8] == MAGIC
-    (hlen,) = struct.unpack("<I", raw[8:12])
-    doc = json.loads(raw[12 : 12 + hlen])
-    assert doc["entries"][0]["name"] == "x"
-    assert doc["entries"][0]["offset"] % 64 == 0  # alignment contract
-
-
-def test_payload_offsets_are_absolute_and_aligned(tmp_path):
-    path = tmp_path / "t.bin"
-    arrays = {f"arr{i}": np.full(i + 1, float(i)) for i in range(5)}
-    write_packed(path, arrays)
-    raw = path.read_bytes()
-    (hlen,) = struct.unpack("<I", raw[8:12])
-    doc = json.loads(raw[12 : 12 + hlen])
-    for e in doc["entries"]:
-        assert e["offset"] % 64 == 0
-        payload = raw[e["offset"] : e["offset"] + e["nbytes"]]
-        arr = np.frombuffer(payload, dtype=e["dtype"]).reshape(e["shape"])
-        np.testing.assert_array_equal(arr, arrays[e["name"]])
+    assert total == len(raw) and raw[:8] == MAGIC == b"DARTTBL2"
+    arrays, attrs = unpack_arrays(raw, MAGIC)
+    assert attrs["format"] == "dart-tabular" and attrs["float_dtype"] == "float32"
+    info = packed_info(path)
+    assert info["attrs"] == attrs and info["entries"] == len(arrays)
+    assert info["payload_bytes"] == sum(a.nbytes for a in arrays.values())
 
 
 def test_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOTATBL0" + b"\x00" * 100)
     with pytest.raises(ValueError, match="magic"):
-        read_packed(path)
+        import_packed(path)
 
 
-def test_rejects_unsupported_dtype(tmp_path):
+def test_rejects_unsupported_dtype(tmp_path, tabular_student, monkeypatch):
+    model, _ = tabular_student
+    state = export.model_state(model)
+    monkeypatch.setattr(
+        export, "model_state", lambda m: {**state, "c": np.array([1 + 2j])}
+    )
     with pytest.raises(ValueError, match="not supported"):
-        write_packed(tmp_path / "x.bin", {"c": np.array([1 + 2j])})
+        export_packed(model, tmp_path / "x.bin")
 
 
 def test_export_import_model_roundtrip_float64(tmp_path, tabular_student, split_dataset):
@@ -97,6 +75,6 @@ def test_export_rejects_bad_dtype(tmp_path, tabular_student):
 
 def test_import_rejects_non_model_file(tmp_path):
     path = tmp_path / "x.bin"
-    write_packed(path, {"x": np.zeros(3)}, attrs={"format": "other"})
+    path.write_bytes(pack_arrays({"x": np.zeros(3)}, MAGIC, meta={"format": "other"}))
     with pytest.raises(ValueError, match="tabular model"):
         import_packed(path)

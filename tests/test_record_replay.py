@@ -1,7 +1,7 @@
 """Record/replay serving contracts.
 
-Captures live sessions — engine-attached (multistream, sharded) and
-plain-stream — into ``DARTTRC1`` traces, replays them on
+Captures live sessions — single-stream, multistream and sharded engines —
+into ``DARTTRC1`` traces, replays them on
 freshly constructed engines, and pins the declarative contracts: a clean
 session replays bit-identically; a tampered trace (mutated emission, dropped
 record) fails with a *named* :class:`ContractViolation`; the trace codec
@@ -31,6 +31,7 @@ from repro.runtime.record import (
     TRACE_MAGIC,
 )
 from repro.runtime.replay import REPLAY_TIMEOUT_FLOOR, effective_reply_timeout
+from repro.utils.serialization import pack_arrays
 
 N_STREAMS = 3
 LEN = 240
@@ -227,27 +228,24 @@ def test_multistream_session_records_and_replays(dart, churn_traces):
     assert report.emissions == trace.summary()["emissions"]
 
 
-def test_serve_records_plain_stream(dart, churn_traces, preprocess_config):
-    """The engine-less path: ``serve(..., recorder=...)`` wraps the stream in
-    a recording proxy and the trace replays on the multistream column."""
+def test_serve_records_plain_stream(dart, libquantum_traces):
+    """A single stream is a one-stream engine: ``attach`` records it with its
+    serving knobs, and the trace replays with no overrides."""
+    trace = libquantum_traces(1, 800, 70)[0]
+    stream = dart.stream(batch_size=32)
     recorder = SessionRecorder()
-    recorder.set_preprocess(preprocess_config)
-    stats, _ = serve(
-        dart.stream(batch_size=32), churn_traces[0], recorder=recorder
+    recorder.attach(stream, model=dart.artifact)
+    stats, _ = serve(stream, trace)
+    session = recorder.trace()
+    engine = session.meta["engine"]
+    assert engine["column"] == "multistream"
+    assert engine["batch_size"] == 32
+    assert (engine["threshold"], engine["max_degree"]) == (
+        dart.threshold, dart.max_degree,
     )
-    trace = recorder.trace()
-    assert trace.meta["engine"]["column"] == "stream"
-    assert trace.summary()["accesses"] == stats.accesses
-    # Boot model not embedded (streams carry no artifact) — named refusal...
-    with pytest.raises(ValueError, match="embeds no boot model"):
-        replay(trace)
-    # ...and an explicit model + the stream's serving knobs replay it.
-    report = replay(
-        trace, model=dart.artifact,
-        engine_overrides={"batch_size": 32, "threshold": 0.4, "max_degree": 3},
-    )
-    assert report.accesses == stats.accesses
-    assert report.emissions == trace.summary()["emissions"]
+    report = replay(session)
+    assert report.accesses == stats.accesses == 800
+    assert report.emissions == session.summary()["emissions"] == 800
 
 
 # ------------------------------------------------------------- codec fuzzing
@@ -298,16 +296,12 @@ def test_trace_codec_refuses_truncation():
 
 
 def test_trace_codec_refuses_foreign_containers():
-    from repro.registry.codec import pack_arrays
-
     reg = pack_arrays({"x": np.arange(4)}, b"DARTREG1", what="registry blob")
     with pytest.raises(ValueError, match="not a session trace"):
         SessionTrace.from_bytes(reg)
 
 
 def test_trace_codec_refuses_version_skew():
-    from repro.registry.codec import pack_arrays
-
     skewed = pack_arrays(
         {"events": np.empty((0, 5), dtype=np.int64),
          "blocks": np.empty(0, dtype=np.int64)},
@@ -320,8 +314,6 @@ def test_trace_codec_refuses_version_skew():
 
 
 def test_trace_codec_refuses_missing_event_log():
-    from repro.registry.codec import pack_arrays
-
     hollow = pack_arrays(
         {"blocks": np.empty(0, dtype=np.int64)}, TRACE_MAGIC,
         meta={"trace_format": 1}, what="session trace",

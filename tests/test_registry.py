@@ -22,16 +22,12 @@ import numpy as np
 import pytest
 
 from repro.registry import (
-    MODEL_WIRE_MAGIC,
-    REGISTRY_MAGIC,
     FilesystemRemote,
     ModelRegistry,
     RegistryError,
     apply_state_delta,
-    pack_arrays,
     sha256_digest,
     state_delta,
-    unpack_arrays,
 )
 from repro.registry.store import BlobStore
 from repro.runtime import ModelArtifact
@@ -113,17 +109,6 @@ def test_no_temp_files_survive_writes(tmp_path):
     assert leftovers == []
 
 
-# ------------------------------------------------------------------ codec
-def test_container_families_do_not_cross(tmp_path):
-    blob = pack_arrays({"a": np.arange(4)}, REGISTRY_MAGIC, what="registry blob")
-    with pytest.raises(ValueError, match="not a model wire blob"):
-        unpack_arrays(blob, MODEL_WIRE_MAGIC, what="model wire blob")
-    arrays, meta = unpack_arrays(blob, REGISTRY_MAGIC, what="registry blob")
-    assert np.array_equal(arrays["a"], np.arange(4)) and meta == {}
-    with pytest.raises(ValueError, match="truncated registry blob"):
-        unpack_arrays(blob[:-8], REGISTRY_MAGIC, what="registry blob")
-
-
 # ------------------------------------------------------------------ deltas
 def test_state_delta_roundtrip_preserves_exotic_floats():
     parent = {
@@ -184,13 +169,13 @@ def test_apply_delta_to_wrong_parent_is_named():
 # ---------------------------------------------------------------- registry
 def test_put_get_full_version_bit_identical(tmp_path, dart):
     reg = ModelRegistry(tmp_path / "reg")
-    digest = dart.artifact.publish(reg, name="serving")
+    digest = reg.put(dart.artifact, name="serving")
     assert reg.resolve("serving") == digest
-    assert dart.artifact.publish(reg, name="serving") == digest  # deterministic
+    assert reg.put(dart.artifact, name="serving") == digest  # deterministic
     m = reg.manifest("serving")
     assert m["kind"] == "full" and m["parent"] is None
     assert m["artifact_version"] == 1
-    out = ModelArtifact.from_registry(reg, "serving")
+    out = reg.get("serving")
     assert out.version == dart.artifact.version
     assert_states_identical(out.state(), dart.artifact.state())
     # Prefix resolution: a unique 12-hex prefix finds the version.
@@ -204,9 +189,9 @@ def test_lineage_chain_bit_identical_and_small(tmp_path, dart):
     depth = 10
     chain = make_chain(dart.artifact, depth)
     reg = ModelRegistry(tmp_path / "reg")
-    digests = [chain[0].publish(reg, name="serving")]
+    digests = [reg.put(chain[0], name="serving")]
     for art in chain[1:]:
-        digests.append(art.publish(reg, parent=digests[-1], name="serving"))
+        digests.append(reg.put(art, parent=digests[-1], name="serving"))
     history = reg.log("serving")
     assert [m["digest"] for m in history] == digests[::-1]
     assert history[-1]["kind"] == "full"
@@ -230,9 +215,9 @@ def test_chain_survives_cache_eviction_via_remote(tmp_path, dart):
     remote = FilesystemRemote(tmp_path / "remote")
     reg = ModelRegistry(tmp_path / "reg", remote=remote)
     chain = make_chain(dart.artifact, 6)
-    digests = [chain[0].publish(reg, name="serving")]
+    digests = [reg.put(chain[0], name="serving")]
     for art in chain[1:]:
-        digests.append(art.publish(reg, parent=digests[-1], name="serving"))
+        digests.append(reg.put(art, parent=digests[-1], name="serving"))
     reg.push("serving")
     removed = reg.evict_local()
     assert removed > 0 and reg.store.digests() == []
@@ -248,9 +233,9 @@ def test_push_pull_between_registries(tmp_path, dart):
     remote = FilesystemRemote(tmp_path / "remote")
     src = ModelRegistry(tmp_path / "src", remote=remote)
     chain = make_chain(dart.artifact, 4)
-    head = chain[0].publish(src, name="serving")
+    head = src.put(chain[0], name="serving")
     for art in chain[1:]:
-        head = art.publish(src, parent=head, name="serving")
+        head = src.put(art, parent=head, name="serving")
     report = src.push("serving")
     assert report["ref"] == "serving" and report["pushed"] == 2 * len(chain)
     assert src.push("serving")["pushed"] == 0  # second push is a no-op
@@ -268,7 +253,7 @@ def test_push_pull_between_registries(tmp_path, dart):
 
 def test_manifest_rejects_non_manifest_objects(tmp_path, dart):
     reg = ModelRegistry(tmp_path / "reg")
-    digest = dart.artifact.publish(reg)
+    digest = reg.put(dart.artifact)
     payload = reg.manifest(digest)["payload"]
     with pytest.raises(RegistryError, match="not a version manifest"):
         reg.manifest(payload)

@@ -142,7 +142,7 @@ def test_healthy_candidate_promotes_and_advances_ref(dart, libquantum_traces, tm
     traces = libquantum_traces(2, 600, 70)
     baseline = dart.artifact
     reg = ModelRegistry(tmp_path / "reg")
-    baseline_digest = baseline.publish(reg, name="serving")
+    baseline_digest = reg.put(baseline, name="serving")
     candidate = healthy_candidate(baseline)
     with dart.sharded(workers=2, batch_size=16, max_wait=4, io_chunk=1) as engine:
         handles = engine.streams(2)

@@ -51,6 +51,23 @@ def test_sharded_matches_multistream(dart, eight_traces, reference_lists, worker
     assert any(any(row) for row in lists[0])
 
 
+def test_shm_bytes_totals_live_segments(dart):
+    """Boot maps one segment, a canary swap two, the converging swap one."""
+    candidate = dart.artifact.successor(dart.artifact.model, reason="canary")
+    with dart.sharded(workers=2, batch_size=16) as engine:
+        engine.streams(2)
+        engine.start()
+        (boot,) = [p.nbytes for p in engine._publications]
+        assert engine.stats()["shm_bytes"] == boot > 0
+        engine.swap_model(candidate, workers=[0])
+        sizes = [p.nbytes for p in engine._publications]
+        assert len(sizes) == 2
+        assert engine.stats()["shm_bytes"] == sum(sizes) > boot
+        engine.swap_model(candidate, workers=[1])
+        (converged,) = [p.nbytes for p in engine._publications]
+        assert engine.stats()["shm_bytes"] == converged
+
+
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_sharded_swap_broadcast_mid_stream(dart, eight_traces, reference_lists, workers):
     """A no-op version bump broadcast halfway must not change one emission."""
